@@ -8,8 +8,9 @@ UW-CSE and HIV workloads:
   the SQLite backends;
 * **query coverage, batched** — the whole candidate-clause generation in one
   ``BatchCoverageEngine`` call: SQLite backends share one candidate temp
-  table per head signature across the batch, ``sqlite-pooled`` fans the
-  clauses out over snapshot connections (``--parallelism``), and
+  table per head signature across the batch, the ``sqlite-pool`` row
+  (``sqlite`` at ``parallelism = --parallelism``, so with a snapshot read
+  pool of that many connections) fans the clauses out over snapshots, and
   ``sqlite-sharded`` fans the example axis over ``--shards`` worker
   processes;
 * **subsumption coverage** — the Python θ-subsumption engine vs the compiled
@@ -22,7 +23,7 @@ example sets for every candidate clause (parity) — including the
 ``shards=1`` and ``--shards N``.  Run it standalone::
 
     PYTHONPATH=src python benchmarks/bench_backend_parity.py [--quick]
-        [--backend {memory,sqlite,sqlite-pooled,sqlite-sharded,both,all}]
+        [--backend {memory,sqlite,sqlite-pool,sqlite-sharded,both,all}]
         [--repeats N] [--seed N] [--parallelism N] [--shards N] [--json PATH]
 
 ``--json`` writes a machine-readable summary (CI uploads it as the
@@ -39,8 +40,8 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import LearningSession
 from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomClauseConfig
-from repro.database.backend import configure_backend_sharding
 from repro.database.instance import DatabaseInstance
 from repro.distributed.sharding import DEFAULT_STRATEGY
 from repro.datasets import hiv, uwcse
@@ -53,19 +54,18 @@ from repro.learning.examples import Example
 from repro.logic.clauses import HornClause
 from repro.obs import provenance, span as obs_span, tracer as obs_tracer
 
-QUERY_BACKENDS = ("memory", "sqlite", "sqlite-pooled", "sqlite-sharded")
+#: Timed rows: backend names, plus ``sqlite-pool`` — sqlite with a
+#: snapshot read pool of ``--parallelism`` connections.
+QUERY_BACKENDS = ("memory", "sqlite", "sqlite-pool", "sqlite-sharded")
 
 
-def materialize(base_instance: DatabaseInstance, backend: str, shards: int):
-    """The workload instance on ``backend`` (sharded backends configured)."""
-    instance = (
-        base_instance
-        if backend == base_instance.backend_name
-        else base_instance.with_backend(backend)
-    )
-    if backend == "sqlite-sharded":
-        configure_backend_sharding(instance.backend, shards)
-    return instance
+def session_for(row: str, shards: int, parallelism: int) -> LearningSession:
+    """The session whose ``prepare`` puts the workload on ``row``'s backend."""
+    if row == "sqlite-pool":
+        return LearningSession(backend="sqlite", parallelism=parallelism)
+    if row == "sqlite-sharded":
+        return LearningSession(backend=row, shards=shards)
+    return LearningSession(backend=row)
 
 
 def candidate_clauses(
@@ -199,9 +199,8 @@ def run_workload(
 
     sequential: Dict[str, List[frozenset]] = {}
     batched: Dict[str, List[frozenset]] = {}
-    instances: Dict[str, DatabaseInstance] = {}
-    for backend in backends:
-        instances[backend] = materialize(base_instance, backend, shards)
+    sessions = {row: session_for(row, shards, parallelism) for row in backends}
+    instances = {row: sessions[row].prepare(base_instance) for row in backends}
     if "sqlite-sharded" in instances:
         # Spawn + initialize the worker fleet outside the timed region: a
         # learning run pays service startup once, not per generation.
@@ -248,13 +247,10 @@ def run_workload(
         # Cross-shard parity: the sharded backend must answer identically
         # however many workers the batch is split over.  (Skipped for
         # --shards 1, where the comparison would be vacuous.)
-        single = materialize(base_instance, "sqlite-sharded", 1)
-        try:
+        with session_for("sqlite-sharded", 1, parallelism) as session:
             _seconds, single_sets = time_batched(
-                single, clauses, examples, 1, parallelism
+                session.prepare(base_instance), clauses, examples, 1, parallelism
             )
-        finally:
-            single.backend.close()
         record["cross_shard_parity"] = {
             "shards_compared": [1, shards],
             "strategy": instances["sqlite-sharded"].backend.strategy,
@@ -274,8 +270,8 @@ def run_workload(
                 "  parity: sqlite-sharded identical at shards=1 and "
                 f"shards={shards}"
             )
-    if "sqlite-sharded" in backends:
-        instances["sqlite-sharded"].backend.close()
+    for session in sessions.values():
+        session.close()
 
     # Subsumption coverage: Python engine vs compiled saturation store.
     from repro.database.sqlite_backend import SaturationStore
@@ -329,9 +325,9 @@ def run_workload(
     bat = record["query_batched_seconds"]
     if "memory" in seq and "sqlite" in seq and seq["sqlite"] > 0:
         speedups["sqlite_vs_memory_sequential"] = seq["memory"] / seq["sqlite"]
-    if "sqlite" in seq and "sqlite-pooled" in bat and bat["sqlite-pooled"] > 0:
+    if "sqlite" in seq and "sqlite-pool" in bat and bat["sqlite-pool"] > 0:
         speedups["pooled_batched_vs_sqlite_sequential"] = (
-            seq["sqlite"] / bat["sqlite-pooled"]
+            seq["sqlite"] / bat["sqlite-pool"]
         )
     if "sqlite" in seq and "sqlite-sharded" in bat and bat["sqlite-sharded"] > 0:
         speedups["sharded_batched_vs_sqlite_sequential"] = (
@@ -354,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--backend",
         choices=[
-            "memory", "sqlite", "sqlite-pooled", "sqlite-sharded", "both", "all",
+            "memory", "sqlite", "sqlite-pool", "sqlite-sharded", "both", "all",
         ],
         default="all",
         help="which storage/evaluation backend(s) to run (default: all); "

@@ -33,8 +33,9 @@ SRC = os.path.join(REPO_ROOT, "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
+from repro import LearningSession, SessionConfig  # noqa: E402
 from repro.castor.bottom_clause import CastorBottomClauseConfig  # noqa: E402
-from repro.castor.castor import CastorLearner, CastorParameters  # noqa: E402
+from repro.castor.castor import CastorParameters  # noqa: E402
 from repro.datasets import uwcse  # noqa: E402
 from repro.obs import provenance  # noqa: E402
 
@@ -59,6 +60,17 @@ def _definition_text(definition) -> List[str]:
     return [str(clause) for clause in definition]
 
 
+def _timed_learn(config: SessionConfig, schema, instance, examples, seed: int):
+    """One Castor learn through a fresh session; the timer covers
+    ``session.prepare`` (the backend conversion) and the learn itself.
+    Each run keeps a private saturation store, so no run starts warm."""
+    with LearningSession(config.merged(reuse_saturation_store=False)) as session:
+        learner = session.learner("castor", schema, _make_parameters(seed))
+        start = time.perf_counter()
+        definition = learner.learn(instance, examples)
+        return definition, time.perf_counter() - start
+
+
 def run_curve(
     quick: bool, shard_counts: Sequence[int], seed: int
 ) -> Dict[str, object]:
@@ -77,23 +89,17 @@ def run_curve(
     series: List[Dict[str, object]] = []
 
     # Memory-backend sequential run: the cross-backend parity reference.
-    learner = CastorLearner(schema, _make_parameters(seed), backend="memory")
-    start = time.perf_counter()
-    definitions["memory"] = _definition_text(learner.learn(instance, examples))
-    memory_seconds = time.perf_counter() - start
+    definition, memory_seconds = _timed_learn(
+        SessionConfig(backend="memory"), schema, instance, examples, seed
+    )
+    definitions["memory"] = _definition_text(definition)
 
     baseline_seconds: Optional[float] = None
     for shards in shard_counts:
-        learner = CastorLearner(
-            schema,
-            _make_parameters(seed),
-            backend="sqlite-sharded",
-            shards=shards,
-            parallelism=shards,
+        config = SessionConfig(
+            backend="sqlite-sharded", shards=shards, parallelism=shards
         )
-        start = time.perf_counter()
-        definition = learner.learn(instance, examples)
-        elapsed = time.perf_counter() - start
+        definition, elapsed = _timed_learn(config, schema, instance, examples, seed)
         definitions[f"sharded-{shards}"] = _definition_text(definition)
         if baseline_seconds is None:
             baseline_seconds = elapsed

@@ -25,7 +25,7 @@ non-zero.  Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_session_server.py
         [--quick] [--runs N] [--folds N] [--shards N]
-        [--backend {sqlite,sqlite-pooled,sqlite-sharded}]
+        [--backend {sqlite,sqlite-sharded}]
         [--server] [--json PATH]
 """
 
@@ -338,7 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--backend",
         default="sqlite-sharded",
-        choices=("sqlite", "sqlite-pooled", "sqlite-sharded"),
+        choices=("sqlite", "sqlite-sharded"),
     )
     parser.add_argument(
         "--server", action="store_true",
@@ -380,7 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = SessionConfig(
         backend=args.backend,
         shards=args.shards if args.backend == "sqlite-sharded" else None,
-        parallelism=2 if args.backend != "sqlite" else None,
+        parallelism=2,
     )
     print(
         f"workload: UW-CSE[{variant}] x {args.runs} runs, folds={args.folds}, "

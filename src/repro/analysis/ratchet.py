@@ -11,7 +11,10 @@ compares against the committed baseline ``analysis/mypy_ratchet.json``:
   start clean;
 * counts *below* budget only print a hint; tightening is an explicit,
   reviewed act: ``python -m repro.analysis.ratchet --update`` regenerates
-  the baseline with the measured counts and must be committed.
+  the baseline with the measured counts and must be committed;
+* a run that measured nothing — mypy exits 1 ("errors found") yet reports
+  no error line, as ``python -m mypy`` does when mypy is not installed —
+  exits with :data:`EXIT_UNMEASURED`, never with a pass.
 
 ``--from-report FILE`` feeds a canned ``mypy`` stdout instead of invoking
 mypy — the parsing/compare logic stays testable in environments without
@@ -30,6 +33,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_BASELINE = "analysis/mypy_ratchet.json"
 DEFAULT_TARGET = "src/repro"
+
+#: Exit status of a run that took no measurement; distinct from 1 (a
+#: budget was exceeded) and 2 (usage error).
+EXIT_UNMEASURED = 3
 
 #: ``src/repro/distributed/server.py:12: error: ...`` (column optional).
 _ERROR_LINE_RE = re.compile(
@@ -166,9 +173,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.from_report:
         report = Path(args.from_report).read_text(encoding="utf-8")
+        current = parse_report(report)
     else:
-        report, _ = run_mypy(args.target)
-    current = parse_report(report)
+        report, returncode = run_mypy(args.target)
+        current = parse_report(report)
+        if returncode == 1 and not current:
+            print(
+                "mypy ratchet: UNMEASURED — mypy exited 1 without reporting "
+                "an error, so no count was taken (is mypy installed? try "
+                "`python -m mypy --version`)",
+                file=sys.stderr,
+            )
+            return EXIT_UNMEASURED
 
     baseline_path = Path(args.baseline)
     if args.update:

@@ -208,22 +208,8 @@ class CastorLearner(ProGolemLearner):
         schema: Schema,
         parameters: Optional[CastorParameters] = None,
         threads: int = 1,
-        backend: Optional[str] = None,
-        parallelism: Optional[int] = None,
-        shards: Optional[int] = None,
-        saturation_store=None,
-        context=None,
     ):
-        super().__init__(
-            schema,
-            parameters or CastorParameters(),
-            threads=threads,
-            parallelism=parallelism,
-            saturation_store=saturation_store,
-            backend=backend,
-            shards=shards,
-            context=context,
-        )
+        super().__init__(schema, parameters or CastorParameters(), threads=threads)
         self.parameters: CastorParameters = self.parameters
         self._working_schema: Optional[Schema] = None
 
@@ -274,8 +260,6 @@ class CastorLearner(ProGolemLearner):
         )
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
-        # Backend conversion and shard configuration happen in the base
-        # class's learn() — one normalization path for the whole family.
         definition = super().learn(instance, examples)
         if self.parameters.ensure_safe:
             safe_clauses = [clause for clause in definition if clause.is_safe()]

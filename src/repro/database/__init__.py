@@ -31,13 +31,12 @@ from .constraints import (
     inds_are_cyclic,
 )
 from .csv_io import load_instance, load_schema, relation_counts, save_instance
-from .delta import Delta, as_delta
+from .delta import Delta
 from .instance import DatabaseInstance, RelationInstance
 from .query import QueryEvaluator, evaluate_clause, evaluate_definition
 from .schema import RelationSchema, Schema
 
 from .sqlite_backend import (
-    PooledSQLiteBackend,
     SaturationStore,
     SQLiteBackend,
     SQLiteReadPool,
@@ -48,9 +47,7 @@ __all__ = [
     "Backend",
     "DatabaseInstance",
     "Delta",
-    "as_delta",
     "MemoryBackend",
-    "PooledSQLiteBackend",
     "RelationBackend",
     "SQLiteBackend",
     "SQLiteReadPool",

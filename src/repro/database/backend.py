@@ -11,10 +11,12 @@ substrate swappable:
   and may additionally expose *set-at-a-time* query evaluation (see
   :mod:`repro.database.sqlite_backend`);
 * a name registry so callers can select a backend with a plain string
-  (``"memory"``, ``"sqlite"``, ``"sqlite-pooled"``, or the multi-process
-  ``"sqlite-sharded"``), e.g.
+  (``"memory"``, ``"sqlite"``, the multi-process ``"sqlite-sharded"``, or
+  the persistent-server ``"sqlite-remote"``), e.g.
   ``DatabaseInstance(schema, backend="sqlite")`` or an experiment-harness
-  ``--backend`` knob.
+  ``--backend`` knob.  A ``sqlite`` backend with a snapshot read pool is
+  built by :class:`~repro.session.session.LearningSession` when its
+  ``parallelism`` exceeds 1.
 
 The dict-based :class:`~repro.database.instance.RelationInstance` is the
 ``memory`` backend's relation store; it remains the default.
@@ -29,7 +31,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    Optional,
     Protocol,
     Sequence,
     Set,
@@ -125,7 +126,8 @@ class Backend(Protocol):
     #: learners consult this before overlapping phases — e.g. prefetching
     #: saturation materialization on a worker thread while the main thread
     #: keeps querying.  The plain single-connection SQLite backend is NOT
-    #: concurrent-read-safe; the memory, pooled, and sharded backends are.
+    #: concurrent-read-safe; the memory, pooled ``sqlite``, and sharded
+    #: backends are.
     supports_concurrent_reads: bool
 
     def make_relation(self, schema: RelationSchema) -> RelationBackend:
@@ -267,38 +269,10 @@ def warn_once(message: str, stacklevel: int = 3) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
 
 
-def configure_backend_sharding(backend: Backend, shards: Optional[int]) -> bool:
-    """Best-effort ``shards`` knob, shared by learners/harness/benchmarks.
-
-    Configures the worker count on backends that expose a sharded
-    evaluation service (``configure_sharding``).  An explicit ``shards`` on
-    a backend without one warns once per backend name — never silently
-    ignored, never an error (the knob only moves work, results are
-    identical).  Returns whether the setting was applied.
-    """
-    if shards is None:
-        return True
-    configure = getattr(backend, "configure_sharding", None)
-    if configure is None:
-        warn_once(
-            f"backend {getattr(backend, 'name', '?')!r} has no sharded "
-            f"evaluation service; ignoring shards={shards}"
-        )
-        return False
-    configure(shards=shards)
-    return True
-
-
 def _sqlite_factory() -> Backend:
     from .sqlite_backend import SQLiteBackend
 
     return SQLiteBackend()
-
-
-def _sqlite_pooled_factory() -> Backend:
-    from .sqlite_backend import PooledSQLiteBackend
-
-    return PooledSQLiteBackend()
 
 
 def _sqlite_sharded_factory() -> Backend:
@@ -317,6 +291,5 @@ def _sqlite_remote_factory() -> Backend:
 
 register_backend("memory", MemoryBackend)
 register_backend("sqlite", _sqlite_factory)
-register_backend("sqlite-pooled", _sqlite_pooled_factory)
 register_backend("sqlite-sharded", _sqlite_sharded_factory)
 register_backend("sqlite-remote", _sqlite_remote_factory)

@@ -161,27 +161,3 @@ class Delta:
 
     def __setstate__(self, state: Tuple[DeltaOp, ...]) -> None:
         self._ops = state
-
-
-def as_delta(value: object) -> Delta:
-    """Normalize legacy mutation-log shapes into a :class:`Delta`.
-
-    Accepts a :class:`Delta`, one ``(op, relation, rows)`` triple, or an
-    iterable of such triples — the shapes PR 4's worker ``apply_diff``
-    historically received.
-    """
-    if isinstance(value, Delta):
-        return value
-    if (
-        isinstance(value, (tuple, list))
-        and len(value) == 3
-        and isinstance(value[0], str)
-        and value[0] in _VALID_OPS
-    ):
-        return Delta([value])
-    if isinstance(value, (tuple, list)):
-        combined = Delta()
-        for entry in value:
-            combined = combined.then(as_delta(entry))
-        return combined
-    raise ValueError(f"cannot interpret {value!r} as a Delta")

@@ -52,6 +52,13 @@ from .schema import RelationSchema
 
 Row = Tuple[object, ...]
 
+
+def default_pool_size() -> int:
+    """Snapshot connections a sharded coordinator or worker keeps: one per
+    core, capped at 4."""
+    return min(4, os.cpu_count() or 1)
+
+
 #: Per-pool label for registry series (a fresh pool must read zero).
 _POOL_SEQ = itertools.count(1)
 
@@ -476,25 +483,36 @@ class SQLiteBackend:
     One backend object owns one in-memory SQLite connection shared by every
     relation of a :class:`~repro.database.instance.DatabaseInstance`, so
     multi-relation joins run inside a single statement.
+
+    ``pool_size`` adds a :class:`SQLiteReadPool` for the parallel covering
+    loop: ``covered_head_tuples_batch`` then fans the candidate clauses out
+    over a thread pool in which every worker queries its own snapshot
+    connection.  Writes go to the primary connection and invalidate
+    snapshots lazily.  ``None`` (default) keeps the single connection.  The
+    size is fixed here because a pooled primary must be opened without
+    ``check_same_thread``.
     """
 
     name = "sqlite"
     supports_compiled_queries = True
     supports_saturation_queries = True
-    # One shared connection: concurrent readers would interleave statements
-    # on it (and a non-serialized SQLite build pins it to one thread), so
-    # phase-overlap machinery must not read this backend from worker threads.
-    supports_concurrent_reads = False
 
-    def __init__(self, connection: Optional[sqlite3.Connection] = None):
+    def __init__(
+        self,
+        connection: Optional[sqlite3.Connection] = None,
+        pool_size: Optional[int] = None,
+    ):
+        owns_connection = connection is None
         if connection is None:
             # With a serialized SQLite build the library itself locks around
             # every call, so the connection may be shared by the coverage
-            # engine's worker threads.  Autocommit keeps the database free of
-            # open write transactions, which snapshot pools require.
+            # engine's worker threads; a pool's backup runs from worker
+            # threads, so a pooled primary is never pinned to one thread.
+            # Autocommit keeps the database free of open write transactions,
+            # which snapshot pools require.
             connection = sqlite3.connect(
                 ":memory:",
-                check_same_thread=not _sqlite_is_serialized(),
+                check_same_thread=pool_size is None and not _sqlite_is_serialized(),
                 isolation_level=None,
             )
         self._connection = connection
@@ -509,6 +527,26 @@ class SQLiteBackend:
         # Bumped on every successful relation mutation; versions the data
         # independently of scratch writes (temp tables do not count).
         self._data_version = 0
+        self.pool_size = None if pool_size is None else max(1, int(pool_size))
+        self.pool = (
+            None
+            if pool_size is None
+            else SQLiteReadPool(
+                self._connection, self._pool_state, source_owned=owns_connection
+            )
+        )
+        # Without a pool every read shares one connection: concurrent
+        # readers would interleave statements on it (and a non-serialized
+        # SQLite build pins it to one thread), so phase-overlap machinery
+        # must not read this backend from worker threads.  Pooled reads fan
+        # out over per-worker snapshots and never share a cursor.
+        self.supports_concurrent_reads = self.pool is not None
+
+    def _pool_state(self) -> Tuple[int, int]:
+        # Relation mutations bump the data version; new relations change the
+        # count.  Deliberately NOT total_changes: scratch temp-table writes
+        # from read-only coverage calls must not invalidate snapshots.
+        return (len(self._relations), self._data_version)
 
     def _bump_data_version(
         self, change: Optional[Tuple[str, str, Tuple[Row, ...]]] = None
@@ -840,17 +878,48 @@ class SQLiteBackend:
 
         Sharing one candidate temp table per head signature amortizes the
         per-clause setup the sequential path pays N times.  Entries are
-        ``None`` for clauses that need the tuple-at-a-time fallback.  The
-        single-connection backend ignores ``parallelism``; the pooled
-        subclass fans groups out across snapshot connections.
+        ``None`` for clauses that need the tuple-at-a-time fallback.
+        Without a pool ``parallelism`` is ignored (one connection: batching
+        amortizes, threads cannot); with one, groups fan out across
+        ``parallelism`` (default ``pool_size``) snapshot connections.
         """
-        del parallelism  # one connection: batching amortizes, threads cannot
-        indexed = list(enumerate(clauses))
-        results = self._covered_batch_on(self._connection, indexed, candidates)
-        return [results[index] for index in range(len(indexed))]
+        clause_list = list(clauses)
+        pool = self.pool
+        workers = 1
+        if pool is not None:
+            workers = self.pool_size or 1
+            if parallelism is not None:
+                workers = max(1, int(parallelism))
+            workers = min(workers, len(clause_list))
+        if pool is None or workers <= 1:
+            results = self._covered_batch_on(
+                self._connection, list(enumerate(clause_list)), candidates
+            )
+            return [results[index] for index in range(len(clause_list))]
+
+        chunks: List[List[Tuple[int, HornClause]]] = [[] for _ in range(workers)]
+        for index, clause in enumerate(clause_list):
+            chunks[index % workers].append((index, clause))
+
+        def run(chunk: List[Tuple[int, HornClause]]) -> Dict[int, Optional[Set[Row]]]:
+            with pool.lease() as snapshot:
+                return self._covered_batch_on(snapshot, chunk, candidates)
+
+        merged: Dict[int, Optional[Set[Row]]] = {}
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            for partial in executor.map(run, chunks):
+                merged.update(partial)
+        return [merged[index] for index in range(len(clause_list))]
+
+    def close(self) -> None:
+        """Close the snapshot pool's connections; the primary stays open
+        (relations remain readable and the pool refills lazily)."""
+        if self.pool is not None:
+            self.pool.close()
 
     def __repr__(self) -> str:
-        return f"SQLiteBackend({len(self._relations)} relations)"
+        pool = "" if self.pool_size is None else f", pool_size={self.pool_size}"
+        return f"SQLiteBackend({len(self._relations)} relations{pool})"
 
 
 class SQLiteReadPool:
@@ -942,83 +1011,6 @@ class SQLiteReadPool:
             for connection, _ in self._idle:
                 connection.close()
             self._idle.clear()
-
-
-class PooledSQLiteBackend(SQLiteBackend):
-    """SQLite backend with a snapshot read pool for the parallel covering loop.
-
-    Storage and single-statement evaluation are inherited unchanged; the
-    difference is batched coverage: ``covered_head_tuples_batch`` fans the
-    candidate clauses out over a thread pool in which every worker queries
-    its own snapshot connection, so scoring one generation of refinements
-    uses multiple cores on top of the temp-table amortization of the base
-    backend.  Writes go to the primary connection and invalidate snapshots
-    lazily (see :class:`SQLiteReadPool`).
-    """
-
-    name = "sqlite-pooled"
-    # Reads fan out over per-worker snapshot connections, so concurrent
-    # readers never share a cursor.
-    supports_concurrent_reads = True
-
-    def __init__(
-        self,
-        connection: Optional[sqlite3.Connection] = None,
-        pool_size: Optional[int] = None,
-    ):
-        owns_connection = connection is None
-        if connection is None:
-            # The pool's backup runs from worker threads, so the primary must
-            # not be pinned to its creating thread (serialized SQLite builds
-            # lock internally; the pool lock serializes every backup anyway).
-            connection = sqlite3.connect(
-                ":memory:", check_same_thread=False, isolation_level=None
-            )
-        super().__init__(connection)
-        if pool_size is None:
-            pool_size = min(4, os.cpu_count() or 1)
-        self.pool_size = max(1, int(pool_size))
-        self.pool = SQLiteReadPool(
-            self._connection, self._pool_state, source_owned=owns_connection
-        )
-
-    def _pool_state(self) -> Tuple[int, int]:
-        # Relation mutations bump the data version; new relations change the
-        # count.  Deliberately NOT total_changes: scratch temp-table writes
-        # from read-only coverage calls must not invalidate snapshots.
-        return (len(self._relations), self._data_version)
-
-    def covered_head_tuples_batch(
-        self,
-        clauses: Sequence[HornClause],
-        candidates: Sequence[Sequence[object]],
-        parallelism: Optional[int] = None,
-    ) -> List[Optional[Set[Row]]]:
-        workers = self.pool_size if parallelism is None else max(1, int(parallelism))
-        clause_list = list(clauses)
-        workers = min(workers, len(clause_list))
-        if workers <= 1:
-            return super().covered_head_tuples_batch(clause_list, candidates)
-
-        chunks: List[List[Tuple[int, HornClause]]] = [[] for _ in range(workers)]
-        for index, clause in enumerate(clause_list):
-            chunks[index % workers].append((index, clause))
-
-        def run(chunk: List[Tuple[int, HornClause]]) -> Dict[int, Optional[Set[Row]]]:
-            with self.pool.lease() as snapshot:
-                return self._covered_batch_on(snapshot, chunk, candidates)
-
-        results: Dict[int, Optional[Set[Row]]] = {}
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            for partial in executor.map(run, chunks):
-                results.update(partial)
-        return [results[index] for index in range(len(clause_list))]
-
-    def __repr__(self) -> str:
-        return (
-            f"PooledSQLiteBackend({len(self._relations)} relations, "
-            f"pool_size={self.pool_size})"
-        )
 
 
 class SaturationStore:

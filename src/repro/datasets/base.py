@@ -111,7 +111,7 @@ class DatasetBundle:
     def close(self) -> None:
         """Close the backends of every materialized variant instance.
 
-        Backends with worker fleets or connection pools (`sqlite-pooled`,
+        Backends with worker fleets or connection pools (pooled `sqlite`,
         `sqlite-sharded`) hold real OS resources; owners of a converted
         bundle (e.g. a `LearningSession`) call this instead of waiting for
         the garbage collector.  Instances re-materialize lazily afterwards.

@@ -3,7 +3,7 @@
 :class:`ShardedSQLiteBackend` is a drop-in registry backend
 (``DatabaseInstance(schema, backend="sqlite-sharded")``): storage, single
 statement evaluation, and the snapshot read pool are inherited unchanged
-from :class:`~repro.database.sqlite_backend.PooledSQLiteBackend`.  What
+from :class:`~repro.database.sqlite_backend.SQLiteBackend`.  What
 changes is *batched* coverage: the backend lazily owns an
 :class:`~repro.distributed.service.EvaluationService` and routes
 
@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..database.delta import Delta
 from ..database.schema import Schema
-from ..database.sqlite_backend import PooledSQLiteBackend
+from ..database.sqlite_backend import SQLiteBackend, default_pool_size
 from ..logic.clauses import HornClause
 from .service import TRANSPORTS, EvaluationService, default_shard_count
 from .sharding import DEFAULT_STRATEGY, SHARDING_STRATEGIES
@@ -48,7 +48,7 @@ def _close_service(service: EvaluationService) -> None:
     service.close()
 
 
-class ShardedSQLiteBackend(PooledSQLiteBackend):
+class ShardedSQLiteBackend(SQLiteBackend):
     """Pooled SQLite storage plus a sharded multi-process evaluation service."""
 
     name = "sqlite-sharded"
@@ -68,10 +68,12 @@ class ShardedSQLiteBackend(PooledSQLiteBackend):
         shards: Optional[int] = None,
         strategy: str = DEFAULT_STRATEGY,
         transport: str = "pipe",
-        worker_backend: str = "sqlite-pooled",
+        worker_backend: str = "sqlite",
         worker_pool_size: Optional[int] = None,
     ):
-        super().__init__(connection, pool_size)
+        super().__init__(
+            connection, default_pool_size() if pool_size is None else pool_size
+        )
         if shards is not None and int(shards) < 1:
             raise ValueError(f"need at least one shard, got {shards}")
         self.shards = int(shards) if shards is not None else default_shard_count()
@@ -312,7 +314,7 @@ class ShardedSQLiteBackend(PooledSQLiteBackend):
         if self._service is not None:
             self._service.close()
             self._service = None
-        self.pool.close()
+        super().close()
 
     # ------------------------------------------------------------------ #
     # Batched evaluation (probed by QueryEvaluator)

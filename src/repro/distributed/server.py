@@ -46,7 +46,7 @@ import time
 import traceback
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..database.delta import Delta, as_delta
+from ..database.delta import Delta
 from ..obs import registry as obs_registry, tracer as obs_tracer
 from . import wire
 from .client import payload_content_hash
@@ -700,7 +700,8 @@ class ServiceServer:
         rebuilding saturation state from scratch.
         """
         handle, old_hash, new_hash, delta = payload
-        delta = as_delta(delta)
+        if not isinstance(delta, Delta):
+            raise TypeError(f"apply_delta takes a Delta, got {type(delta).__name__}")
         served = self._get(handle)
         with self._locked(served, ctx):
             self._check_version(served, old_hash)

@@ -194,9 +194,8 @@ class EvaluationService:
         so mutations on the coordinator instance are always visible.
     diff_fn:
         Optional callable mapping the last-synced token to an **incremental
-        relation diff** (a :class:`~repro.database.delta.Delta`, or the
-        legacy ordered list of ``(op, relation, rows)`` entries) — when it
-        returns one, live workers are updated with an ``apply_diff``
+        relation diff** (a :class:`~repro.database.delta.Delta`) — when it
+        returns one, live workers are updated with an ``apply_delta``
         request instead of a full payload reload, and workers repair their
         warm engine caches in place rather than dropping them.  Returning
         ``None`` means "cannot diff from that token" (new relation, log
@@ -514,7 +513,7 @@ class EvaluationService:
         diff = self._diff_fn(self._synced_token) if self._diff_fn else None
         if diff is not None:
             self._c_reloads_incremental.inc()
-            message = ("apply_diff", (diff,))
+            message = ("apply_delta", (diff,))
         else:
             self._c_reloads_full.inc()
             message = ("reload", self.payload_fn())

@@ -1,8 +1,8 @@
 """The shard worker: one process owning one slice of the evaluation work.
 
 A worker receives an **instance payload** (schema + relation rows), rebuilds
-the database on its own SQLite-family backend (``sqlite-pooled`` by default,
-so intra-worker ``parallelism`` reuses the snapshot read-pool machinery),
+the database on its own SQLite-family backend (``sqlite`` with a snapshot
+read pool by default, so intra-worker ``parallelism`` reuses that machinery),
 and then serves coverage requests until told to shut down.  Per-engine state
 — in particular each example's materialized saturation in the worker's
 :class:`~repro.database.sqlite_backend.SaturationStore` — lives as long as
@@ -65,7 +65,7 @@ class InstancePayload:
         self,
         schema,
         rows: Dict[str, List[Row]],
-        backend: str = "sqlite-pooled",
+        backend: str = "sqlite",
         pool_size: Optional[int] = None,
     ):
         self.schema = schema
@@ -92,10 +92,15 @@ class WorkerState:
     def _rebuild(self, payload: InstancePayload) -> None:
         from ..database.backend import create_backend
         from ..database.instance import DatabaseInstance
+        from ..database.sqlite_backend import SQLiteBackend, default_pool_size
 
-        backend = create_backend(payload.backend)
-        if payload.pool_size is not None and hasattr(backend, "pool_size"):
-            backend.pool_size = max(1, int(payload.pool_size))
+        if payload.backend == "sqlite":
+            pool_size = payload.pool_size
+            backend = SQLiteBackend(
+                pool_size=default_pool_size() if pool_size is None else pool_size
+            )
+        else:
+            backend = create_backend(payload.backend)
         self.instance = DatabaseInstance(payload.schema, backend=backend)
         for name, rows in payload.rows.items():
             self.instance.add_tuples(name, rows)
@@ -191,12 +196,11 @@ class WorkerState:
 
     handle_reload = handle_init
 
-    def handle_apply_diff(self, payload) -> Dict[str, object]:
+    def handle_apply_delta(self, payload) -> Dict[str, object]:
         """Apply an incremental relation diff instead of a full rebuild.
 
-        The payload is a :class:`~repro.database.delta.Delta` (or the legacy
-        list of ``("add"|"remove", relation, rows)`` entries it was promoted
-        from).  Replay is **idempotent**: adds ignore rows that already
+        The payload is a one-element tuple holding a
+        :class:`~repro.database.delta.Delta`.  Replay is **idempotent**: adds ignore rows that already
         exist (the log may record them) and removes ignore rows already
         gone — the coordinator re-sends a diff from the same token when a
         fleet-wide sync was interrupted midway, so a worker that already
@@ -208,12 +212,13 @@ class WorkerState:
         without it are discarded.  Builders are stateless over the live
         instance and survive as-is.
         """
-        from ..database.delta import as_delta
+        from ..database.delta import Delta
 
-        (entries,) = payload
+        (delta,) = payload
         if self.instance is None:
             raise RuntimeError("worker received a diff before init")
-        delta = as_delta(entries)
+        if not isinstance(delta, Delta):
+            raise TypeError(f"apply_delta takes a Delta, got {type(delta).__name__}")
         for op, relation_name, rows in delta.ops:
             if op == "add":
                 self.instance.add_tuples(relation_name, rows)
@@ -323,7 +328,7 @@ class WorkerState:
         return {
             "init": self.handle_init,
             "reload": self.handle_reload,
-            "apply_diff": self.handle_apply_diff,
+            "apply_delta": self.handle_apply_delta,
             "coverage_batch": self.handle_coverage_batch,
             "query_batch": self.handle_query_batch,
             "materialize_saturations": self.handle_materialize_saturations,

@@ -12,24 +12,21 @@ The harness drives the paper's Section 9 methodology:
 
 Every entry point runs on the **session API**
 (:class:`~repro.session.session.LearningSession` /
-:class:`~repro.session.config.SessionConfig`): pass ``session=`` to share
-one session — and therefore one set of prepared instances, warm evaluation
-services, and saturation stores — across many calls, or keep passing the
-legacy ``backend=``/``parallelism=``/``shards=`` keywords and the harness
-wraps them in a per-call session for you.
+:class:`~repro.session.config.SessionConfig`), which holds every
+evaluation setting: pass ``session=`` to share one session — and therefore
+one set of prepared instances, warm evaluation services, and saturation
+stores — across many calls.  Without one, each call opens a default
+``LearningSession()`` for its duration.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
 from ..learning.evaluation import CrossValidationReport, cross_validate, evaluate_definition
 from ..logic.clauses import HornDefinition
-from ..session.config import SessionConfig, warn_once as _warn_once
 from ..session.session import LearningSession
 from ..transform.equivalence import definition_results
 
@@ -48,62 +45,6 @@ class LearnerSpec:
 
     def __repr__(self) -> str:
         return f"LearnerSpec({self.name!r})"
-
-
-# --------------------------------------------------------------------- #
-# Deprecated per-knob helpers (kept as thin shims over the single
-# SessionConfig.apply normalization path)
-# --------------------------------------------------------------------- #
-_deprecation_warned = False
-
-
-def _warn_knob_helpers_deprecated() -> None:
-    global _deprecation_warned
-    if _deprecation_warned:
-        return
-    _deprecation_warned = True
-    warnings.warn(
-        "_apply_parallelism/_apply_shards are deprecated; "
-        "SessionConfig(...).apply(learner, instance=...) is the single "
-        "normalization path (see docs/session.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _apply_parallelism(learner: object, parallelism: Optional[int]) -> object:
-    """Deprecated: use :meth:`SessionConfig.apply`.
-
-    Kept as a shim so older call sites keep working; the warn-once
-    best-effort semantics live in :meth:`SessionConfig.apply` now.
-    """
-    if parallelism is None:
-        return learner
-    _warn_knob_helpers_deprecated()
-    return SessionConfig(parallelism=parallelism).apply(learner)
-
-
-def _apply_shards(instance: DatabaseInstance, shards: Optional[int]) -> None:
-    """Deprecated: use :meth:`SessionConfig.apply`.
-
-    Kept as a shim so older call sites keep working; warns once (via the
-    shared :func:`~repro.database.backend.configure_backend_sharding`
-    probe) when the instance's backend has no sharded service.
-    """
-    if shards is None:
-        return
-    _warn_knob_helpers_deprecated()
-    SessionConfig(shards=shards).apply(instance=instance)
-
-
-def _reject_knobs_with_session(**knobs: object) -> None:
-    """Per-call knobs and an explicit session cannot both win — say so."""
-    set_knobs = {name: value for name, value in knobs.items() if value is not None}
-    if set_knobs:
-        raise ValueError(
-            f"{sorted(set_knobs)} cannot be combined with session=; "
-            "configure them on the session's SessionConfig instead"
-        )
 
 
 class VariantResult:
@@ -147,77 +88,36 @@ class VariantResult:
         )
 
 
-def _session_for(
-    session: Optional[LearningSession],
-    backend: Optional[str],
-    parallelism: Optional[int],
-    shards: Optional[int],
-    reuse_saturation_store: bool = True,
-) -> tuple:
-    """Resolve the (session, owns_session) pair every entry point needs.
-
-    The owned config never carries ``presaturate``: the keyword stays the
-    single source of truth inside :func:`run_variant` (including the
-    legacy warn-and-run path for ``presaturate`` without a shared store,
-    which direct ``SessionConfig`` construction rejects).
-    """
-    if session is not None:
-        _reject_knobs_with_session(
-            backend=backend, parallelism=parallelism, shards=shards
-        )
-        return session, False
-    owned = LearningSession(
-        SessionConfig(
-            backend=backend,
-            parallelism=parallelism,
-            shards=shards,
-            reuse_saturation_store=reuse_saturation_store,
-        )
-    )
-    return owned, True
-
-
 def run_variant(
     bundle,
     variant_name: str,
     learner_spec: LearnerSpec,
     folds: int = 3,
     seed: int = 0,
-    backend: Optional[str] = None,
-    parallelism: Optional[int] = None,
-    shards: Optional[int] = None,
-    reuse_saturation_store: bool = True,
-    presaturate: bool = False,
     session: Optional[LearningSession] = None,
 ) -> VariantResult:
     """Cross-validate one learner on one schema variant of the dataset.
 
-    With ``session=`` the run rides that session's prepared instances,
-    warm evaluation services, and shared saturation stores (repeat calls
-    start warm; ``backend``/``parallelism``/``shards`` then live on the
-    session's :class:`SessionConfig` and may not be passed here).  Without
-    it, the legacy keywords are wrapped in a per-call session: ``backend``
-    selects the storage/evaluation backend, ``parallelism`` the
-    clause-scoring fan-out, ``shards`` the worker count on sharded
-    backends (results are identical for every value of either; only
-    wall-clock time changes).  With ``reuse_saturation_store`` (default),
-    learners with compiled subsumption coverage share one warm
-    :class:`SaturationStore` across the folds of this variant; fold
-    results are identical either way.  ``presaturate`` additionally
-    materializes every example's saturation into that shared store
-    *before* the folds run — one batched call (sharded backends fan it
-    across their worker fleet), excluded from the per-fold learning times.
+    The run rides ``session``'s prepared instances, warm evaluation
+    services, and shared saturation stores (repeat calls start warm); its
+    :class:`~repro.session.config.SessionConfig` selects the backend, the
+    clause-scoring fan-out, and the shard count (results are identical for
+    every value; only wall-clock time changes).  Without ``session`` the
+    call opens (and closes) a default ``LearningSession()``.  With the
+    config's ``reuse_saturation_store`` (default), learners with compiled
+    subsumption coverage share one warm :class:`SaturationStore` across the
+    folds of this variant; fold results are identical either way.  Its
+    ``presaturate`` additionally materializes every example's saturation
+    into that shared store *before* the folds run — one batched call
+    (sharded backends fan it across their worker fleet), excluded from the
+    per-fold learning times.
     """
-    session, owns_session = _session_for(
-        session, backend, parallelism, shards, reuse_saturation_store
-    )
-    config = session.config
-    effective_reuse = reuse_saturation_store and config.reuse_saturation_store
-    effective_presaturate = presaturate or config.presaturate
+    owns_session = session is None
+    session = session or LearningSession()
     try:
         schema = bundle.schema(variant_name)
         instance = session.prepare(bundle.instance(variant_name))
-        supplier = session.store_supplier(instance) if effective_reuse else None
+        supplier = session.store_supplier(instance)
 
         def factory() -> object:
             learner = session.apply(learner_spec.build(schema))
@@ -228,16 +128,8 @@ def run_variant(
                 learner.saturation_store = supplier(learner)
             return learner
 
-        if effective_presaturate:
-            if effective_reuse:
-                session.presaturate(factory(), instance, bundle.examples)
-            else:
-                # Without a shared store the warm-up would be thrown away
-                # with the first fold's engine — say so, don't double-pay.
-                _warn_once(
-                    "presaturate=True has no effect with "
-                    "reuse_saturation_store=False; ignoring it"
-                )
+        if session.config.presaturate:
+            session.presaturate(factory(), instance, bundle.examples)
 
         if folds <= 1:
             learner = factory()
@@ -284,11 +176,6 @@ def run_schema_sweep(
     variants: Optional[Sequence[str]] = None,
     folds: int = 3,
     seed: int = 0,
-    backend: Optional[str] = None,
-    parallelism: Optional[int] = None,
-    shards: Optional[int] = None,
-    reuse_saturation_store: bool = True,
-    presaturate: bool = False,
     session: Optional[LearningSession] = None,
 ) -> List[VariantResult]:
     """Run every learner on every schema variant (one of the paper's tables).
@@ -297,9 +184,8 @@ def run_schema_sweep(
     every learner×variant cell after the first on a variant starts from
     that variant's warm instance and saturation store.
     """
-    session, owns_session = _session_for(
-        session, backend, parallelism, shards, reuse_saturation_store
-    )
+    owns_session = session is None
+    session = session or LearningSession()
     try:
         variants = list(variants or bundle.variant_names)
         # Convert once up front (and once per *session*, not per call): the
@@ -312,13 +198,7 @@ def run_schema_sweep(
             for variant_name in variants:
                 results.append(
                     run_variant(
-                        bundle,
-                        variant_name,
-                        learner_spec,
-                        folds,
-                        seed,
-                        reuse_saturation_store=reuse_saturation_store,
-                        presaturate=presaturate,
+                        bundle, variant_name, learner_spec, folds, seed,
                         session=session,
                     )
                 )
@@ -368,9 +248,6 @@ def check_schema_independence(
     learner_spec: LearnerSpec,
     variants: Optional[Sequence[str]] = None,
     seed: int = 0,
-    backend: Optional[str] = None,
-    parallelism: Optional[int] = None,
-    shards: Optional[int] = None,
     session: Optional[LearningSession] = None,
 ) -> SchemaIndependenceReport:
     """Learn on every variant with the full training data and compare outputs.
@@ -380,7 +257,8 @@ def check_schema_independence(
     variants (Definition 3.10 instantiated on the actual data).
     """
     del seed  # accepted for signature compatibility; learning is seeded by parameters
-    session, owns_session = _session_for(session, backend, parallelism, shards)
+    owns_session = session is None
+    session = session or LearningSession()
     try:
         variants = list(variants or bundle.variant_names)
         bundle = session.prepare_bundle(bundle)

@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
 from ..learning.coverage import BatchCoverageEngine, QueryCoverageEngine
-from ..learning.knobs import EvaluationKnobs
 from ..learning.covering import CoveringLearner, CoveringParameters
 from ..learning.examples import Example, ExampleSet
 from ..logic.clauses import HornClause, HornDefinition
@@ -193,7 +192,7 @@ class _FoilClauseLearner:
         return best
 
 
-class FoilLearner(EvaluationKnobs):
+class FoilLearner:
     """Public FOIL learner: ``learn(instance, examples) -> HornDefinition``."""
 
     name = "FOIL"
@@ -202,22 +201,9 @@ class FoilLearner(EvaluationKnobs):
         self,
         schema: Schema,
         parameters: Optional[FoilParameters] = None,
-        backend: Optional[str] = None,
-        parallelism: Optional[int] = None,
-        shards: Optional[int] = None,
-        context=None,
     ):
         self.schema = schema
         self.parameters = parameters or FoilParameters()
-        # Deliberately only the backend/shards half of the mixin's knob
-        # set: query coverage has no saturations and no compiled
-        # subsumption, and phantom attributes would make apply() silently
-        # accept settings this learner cannot honor.
-        self.backend = backend
-        self.shards = shards
-        if parallelism is not None:
-            self.parameters.parallelism = max(1, int(parallelism))
-        self._apply_context(context)
 
     @property
     def parallelism(self) -> int:
@@ -230,7 +216,6 @@ class FoilLearner(EvaluationKnobs):
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         """Learn a Horn definition of the examples' target relation."""
-        instance = self._prepare_instance(instance)
         coverage = QueryCoverageEngine(instance)
         clause_learner = _FoilClauseLearner(self.schema, self.parameters, coverage)
         covering = CoveringLearner(

@@ -173,24 +173,12 @@ class GolemLearner(EvaluationKnobs, ThreadsAsParallelism):
         schema: Schema,
         parameters: Optional[GolemParameters] = None,
         threads: int = 1,
-        parallelism: Optional[int] = None,
-        backend: Optional[str] = None,
-        shards: Optional[int] = None,
-        saturation_store=None,
-        context=None,
     ):
         self.schema = schema
         self.parameters = parameters or GolemParameters()
         self.threads = max(1, int(threads))
-        self._init_evaluation_knobs(
-            backend=backend, shards=shards, saturation_store=saturation_store
-        )
-        if parallelism is not None:
-            self.threads = max(1, int(parallelism))
-        self._apply_context(context)
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
-        instance = self._prepare_instance(instance)
         coverage = SubsumptionCoverageEngine(
             instance,
             self.parameters.bottom_clause,

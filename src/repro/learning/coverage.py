@@ -18,7 +18,7 @@ Two strategies are provided, mirroring Section 7.5:
 Both engines additionally answer **batched** requests — N candidate clauses
 against one example set — through :class:`BatchCoverageEngine`, which the
 covering loop uses to score a whole generation of refinements in one call
-(fanned out across a connection pool on the ``sqlite-pooled`` backend).
+(fanned out across a snapshot read pool on a pooled ``sqlite`` backend).
 """
 
 from __future__ import annotations
@@ -626,7 +626,7 @@ class QueryCoverageEngine:
 
         The whole batch is handed to the evaluator in one call; SQLite-family
         backends amortize the candidate temp table across the batch, and the
-        pooled backend additionally fans clauses out over snapshot
+        pooled ``sqlite`` backend additionally fans clauses out over snapshot
         connections when ``parallelism > 1``.
         """
         clause_list = list(clauses)

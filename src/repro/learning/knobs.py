@@ -1,62 +1,31 @@
-"""Shared evaluation-knob plumbing for the learner family.
+"""Evaluation settings the bottom-up learner family exposes to a session.
 
-Every learner carries the same four evaluation settings — ``backend``,
-``shards``, ``saturation_store``, ``compiled_coverage`` — plus the uniform
-``context=`` construction hook and the same two-line ``learn()`` preamble
-(convert the instance, configure sharding).  :class:`EvaluationKnobs` is
-that plumbing in exactly one place, so a change to backend normalization
-lands everywhere at once instead of in per-learner copies.
+A :class:`~repro.session.session.LearningSession` owns evaluation
+configuration; ``session.apply`` (through
+:meth:`~repro.session.config.SessionConfig.apply`) sets these attributes
+on the learners that declare them.  None of them changes a learned
+definition: they only move work.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..database.backend import configure_backend_sharding
-from ..database.instance import DatabaseInstance
+from typing import Any, Optional
 
 
 class EvaluationKnobs:
-    """Mixin: uniform evaluation knobs + ``context=`` + learn() preamble.
+    """Mixin: the shared saturation store and compiled-subsumption override.
 
-    Learners whose engines have no saturations (FOIL's query coverage) use
-    only :meth:`_apply_context` and :meth:`_prepare_instance`, declaring
-    ``backend``/``shards`` themselves — phantom store/compiled attributes
-    would make ``SessionConfig.apply`` silently accept settings they cannot
-    honor.
+    Learners whose engines have no saturations (FOIL's query coverage) do
+    not inherit it — phantom store/compiled attributes would make
+    ``SessionConfig.apply`` silently accept settings they cannot honor.
     """
 
-    def _init_evaluation_knobs(
-        self,
-        backend: Optional[str] = None,
-        shards: Optional[int] = None,
-        saturation_store=None,
-    ) -> None:
-        # Storage/evaluation backend the learner wants the instance on
-        # (None = use the instance as given) and the worker count on
-        # sharded backends; both only move work, never change results.
-        self.backend = backend
-        self.shards = shards
-        # Optional shared SaturationStore for the compiled coverage path
-        # (sessions hand one out so repeated runs start warm).
-        self.saturation_store = saturation_store
-        # Compiled-subsumption override: True/False force the SQL/Python
-        # decision procedure, None keeps the engine's backend-based default.
-        self.compiled_coverage: Optional[bool] = None
-
-    def _apply_context(self, context) -> None:
-        """Uniform construction path: ``context`` is a SessionConfig or a
-        LearningSession; its ``apply`` pushes every knob it carries.  Call
-        last in ``__init__`` so the context overrides the plain kwargs."""
-        if context is not None:
-            context.apply(self)
-
-    def _prepare_instance(self, instance: DatabaseInstance) -> DatabaseInstance:
-        """The shared ``learn()`` preamble: backend conversion + sharding."""
-        if self.backend is not None and self.backend != instance.backend_name:
-            instance = instance.with_backend(self.backend)
-        configure_backend_sharding(instance.backend, self.shards)
-        return instance
+    #: Optional shared SaturationStore for the compiled coverage path
+    #: (sessions hand one out so repeated runs start warm).
+    saturation_store: Any = None
+    #: True/False force the SQL/Python decision procedure; None keeps the
+    #: engine's backend-based default.
+    compiled_coverage: Optional[bool] = None
 
 
 class ThreadsAsParallelism:

@@ -171,25 +171,13 @@ class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
         schema: Schema,
         parameters: Optional[ProgolParameters] = None,
         threads: int = 1,
-        parallelism: Optional[int] = None,
-        backend: Optional[str] = None,
-        shards: Optional[int] = None,
-        saturation_store=None,
-        context=None,
     ):
         self.schema = schema
         self.parameters = parameters or ProgolParameters()
         self.threads = max(1, int(threads))
-        self._init_evaluation_knobs(
-            backend=backend, shards=shards, saturation_store=saturation_store
-        )
-        if parallelism is not None:
-            self.threads = max(1, int(parallelism))
-        self._apply_context(context)
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         """Learn a Horn definition via bottom-clause-bounded top-down search."""
-        instance = self._prepare_instance(instance)
         coverage = SubsumptionCoverageEngine(
             instance,
             self.parameters.bottom_clause,
@@ -225,10 +213,9 @@ class AlephFoilLearner(ProgolLearner):
         clause_length: int = 10,
         parameters: Optional[ProgolParameters] = None,
         threads: int = 1,
-        **kwargs,
     ):
         if parameters is None:
             parameters = ProgolParameters(
                 clause_length=clause_length, open_list_size=1, scoring="gain"
             )
-        super().__init__(schema, parameters, threads=threads, **kwargs)
+        super().__init__(schema, parameters, threads=threads)

@@ -268,21 +268,10 @@ class ProGolemLearner(EvaluationKnobs):
         schema: Schema,
         parameters: Optional[ProGolemParameters] = None,
         threads: int = 1,
-        parallelism: Optional[int] = None,
-        saturation_store=None,
-        backend: Optional[str] = None,
-        shards: Optional[int] = None,
-        context=None,
     ):
         self.schema = schema
         self.parameters = parameters or ProGolemParameters()
         self.threads = threads
-        self._init_evaluation_knobs(
-            backend=backend, shards=shards, saturation_store=saturation_store
-        )
-        if parallelism is not None:
-            self.parameters.parallelism = max(1, int(parallelism))
-        self._apply_context(context)
 
     @property
     def parallelism(self) -> int:
@@ -309,7 +298,6 @@ class ProGolemLearner(EvaluationKnobs):
         return self.clause_learner_class(self.schema, self.parameters, coverage)
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
-        instance = self._prepare_instance(instance)
         coverage = self.make_coverage_engine(instance)
         clause_learner = self.make_clause_learner(instance, coverage)
         covering = CoveringLearner(

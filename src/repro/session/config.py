@@ -1,26 +1,24 @@
-"""`SessionConfig`: one validated object replacing the knob soup.
+"""`SessionConfig`: the one validated object holding evaluation settings.
 
-Before this module existed every entry point re-threaded ``backend=``,
-``parallelism=``, ``shards=``, ``saturation_store=``, ``presaturate=``
-independently — the same five keywords on every learner constructor, every
-harness function, and every benchmark, each with its own silent-typo
-surface.  :class:`SessionConfig` is the single place those settings live:
+Backend, pool, shards, coverage strategy and the shared saturation store
+are set here and nowhere else — learners take only their algorithm inputs,
+and the harness takes a session.  None of these settings changes a learned
+definition; they only move work.
 
 * construction **validates coherence** (e.g. ``shards=4`` on the ``memory``
   backend is a configuration error with an actionable message, not a
   warning buried in a log);
 * :meth:`SessionConfig.apply` is the single normalization path that pushes
-  the settings onto a learner and/or an instance — the warn-once
-  best-effort semantics of the old harness helpers live here now;
+  the settings onto a learner and/or an instance, warning once for a
+  setting the target cannot honor;
 * the config is immutable; :meth:`merged` derives variations.
 
-Learners accept a config directly via their uniform ``context=`` keyword::
+A :class:`~repro.session.session.LearningSession` built from a config owns
+the backend, engine and store lifecycle and hands out configured
+learners::
 
-    config = SessionConfig(backend="sqlite-pooled", parallelism=4)
-    learner = CastorLearner(schema, context=config)
-
-or, preferably, through a :class:`~repro.session.session.LearningSession`
-that also owns the engine/store lifecycle.
+    with LearningSession(SessionConfig(backend="sqlite", parallelism=4)) as session:
+        learner = session.learner("castor", schema)
 """
 
 from __future__ import annotations
@@ -28,11 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from ..database.backend import (
-    backend_names,
-    configure_backend_sharding,
-    warn_once,
-)
+from ..database.backend import backend_names, warn_once
 
 #: Coverage strategies a config may pin.  ``auto`` keeps every learner's own
 #: default (subsumption for the bottom-up family, query coverage for FOIL);
@@ -63,11 +57,13 @@ class SessionConfig:
     ----------
     backend:
         Storage/evaluation backend instances are materialized on
-        (``memory``/``sqlite``/``sqlite-pooled``/``sqlite-sharded``/
-        ``sqlite-remote``); ``None`` leaves instances as given.
+        (``memory``/``sqlite``/``sqlite-sharded``/``sqlite-remote``);
+        ``None`` leaves instances as given.
     parallelism:
-        Clause-scoring fan-out on learners that expose the knob.  Results
-        are identical for every value; only wall-clock time changes.
+        Clause-scoring fan-out on learners that expose the knob.  Above 1,
+        the ``sqlite`` backend also gets a snapshot read pool of this many
+        connections.  Results are identical for every value; only
+        wall-clock time changes.
     shards:
         Worker-process count on sharded backends.  Like ``parallelism``,
         never changes results.
@@ -233,17 +229,6 @@ class SessionConfig:
                 f"but backend {backend!r} has none; use "
                 "backend='sqlite-sharded' (see docs/distributed.md)"
             )
-        if (
-            self.parallelism is not None
-            and self.parallelism > 1
-            and backend == "sqlite"
-        ):
-            raise ValueError(
-                f"parallelism={self.parallelism} cannot fan out on the "
-                "single-connection 'sqlite' backend (every statement "
-                "serializes on one connection); use 'sqlite-pooled' "
-                "(snapshot read pool), 'sqlite-sharded', or 'memory'"
-            )
         if self.sharding_strategy is not None:
             from ..distributed.sharding import SHARDING_STRATEGIES
 
@@ -284,32 +269,30 @@ class SessionConfig:
         return replace(self, **changes)
 
     # ------------------------------------------------------------------ #
-    # Normalization (the old _apply_parallelism/_apply_shards, unified)
+    # Normalization
     # ------------------------------------------------------------------ #
     def apply(
         self,
         learner: Any = None,
         instance: Any = None,
         saturation_store: Any = None,
-        _session_managed: bool = False,
     ) -> Any:
         """Push this config onto a learner and/or an instance.
 
-        The single normalization path shared by sessions, the experiment
-        harness, and the deprecated per-knob helpers.  Settings land on
-        learners that expose the matching attribute; an explicit setting a
-        learner cannot honor warns once per distinct situation — never
+        The single normalization path behind
+        :meth:`~repro.session.session.LearningSession.apply`.  Settings land
+        on learners that expose the matching attribute; an explicit setting
+        a learner cannot honor warns once per distinct situation — never
         silently ignored, never an error (these knobs only move work;
         results are identical for every value).
 
-        ``instance`` additionally receives the ``shards`` topology through
-        :func:`~repro.database.backend.configure_backend_sharding`.
+        ``instance`` additionally receives the sharding topology
+        (``shards``, ``sharding_strategy``, ``transport``).
         ``saturation_store`` is handed to learners with the knob (learners
         without saturations — FOIL's query coverage — skip it silently, as
-        there is nothing a store could change).  ``_session_managed`` is
-        set by :class:`~repro.session.session.LearningSession`, whose
-        ``prepare()`` owns instance routing — the ``backend`` knob then
-        stays off the learner entirely.
+        there is nothing a store could change).  Backend routing is not
+        done here: :meth:`~repro.session.session.LearningSession.prepare`
+        owns it.
         """
         if learner is not None:
             if self.parallelism is not None:
@@ -320,53 +303,6 @@ class SessionConfig:
                         f"learner {type(learner).__name__} has no "
                         "'parallelism' knob; ignoring "
                         f"parallelism={self.parallelism}"
-                    )
-            if self.backend == "sqlite-remote":
-                # A bare with_backend("sqlite-remote") conversion cannot
-                # carry the server connection; only a LearningSession can
-                # (its prepare() binds the backend to the session's
-                # client), so there is nothing to push either way.
-                if not _session_managed:
-                    warn_once(
-                        "backend='sqlite-remote' needs a LearningSession "
-                        "to carry the server connection; construct "
-                        "learners via LearningSession.connect(...)"
-                        ".learner(...) — ignoring backend= on this bare "
-                        "context path"
-                    )
-            elif self.backend is not None:
-                # Pushed on the session-managed path too: a learner built
-                # with context=<session> but driven outside session.learner
-                # must still honor the configured backend (its learn() then
-                # converts per call — the documented legacy knob semantics;
-                # prepared instances already match, so the push is a no-op
-                # there).
-                if hasattr(learner, "backend"):
-                    learner.backend = self.backend
-                else:
-                    warn_once(
-                        f"learner {type(learner).__name__} has no 'backend' "
-                        f"knob; ignoring backend={self.backend!r}"
-                    )
-            elif self.service_address is not None and not _session_managed:
-                # A connect-shaped config (address, no backend) only
-                # reaches the server through a session that owns the
-                # connection; a bare context would otherwise look remote
-                # while evaluating entirely locally.
-                warn_once(
-                    f"service_address={self.service_address!r} has no "
-                    "effect on a bare context= learner; use "
-                    f"LearningSession.connect({self.service_address!r})"
-                    ".learner(...) to evaluate on the persistent server "
-                    "— this learner will evaluate locally"
-                )
-            if self.shards is not None and instance is None:
-                if hasattr(learner, "shards"):
-                    learner.shards = self.shards
-                else:
-                    warn_once(
-                        f"learner {type(learner).__name__} has no 'shards' "
-                        f"knob; ignoring shards={self.shards}"
                     )
             if self.coverage != "auto":
                 compiled = _COMPILED_BY_STRATEGY.get(self.coverage)
@@ -409,18 +345,16 @@ class SessionConfig:
         ):
             return
         configure = getattr(instance.backend, "configure_sharding", None)
-        if configure is not None:
-            configure(
-                shards=self.shards,
-                strategy=self.sharding_strategy,
-                transport=self.transport,
-            )
-            return
-        if self.shards is not None:
-            configure_backend_sharding(instance.backend, self.shards)
-        if self.sharding_strategy is not None or self.transport is not None:
+        if configure is None:
             warn_once(
                 f"backend {getattr(instance.backend, 'name', '?')!r} has no "
-                "sharded evaluation service; ignoring sharding_strategy="
-                f"{self.sharding_strategy!r} / transport={self.transport!r}"
+                f"sharded evaluation service; ignoring shards={self.shards} / "
+                f"sharding_strategy={self.sharding_strategy!r} / "
+                f"transport={self.transport!r}"
             )
+            return
+        configure(
+            shards=self.shards,
+            strategy=self.sharding_strategy,
+            transport=self.transport,
+        )

@@ -8,7 +8,7 @@ hands out learners already normalized onto one validated
 
     from repro import LearningSession, SessionConfig
 
-    with LearningSession(SessionConfig(backend="sqlite-pooled", parallelism=4)) as session:
+    with LearningSession(SessionConfig(backend="sqlite", parallelism=4)) as session:
         learner = session.learner("castor", schema, parameters)
         definition = learner.learn(instance, examples)
         result = session.run(bundle, "original", "progolem", folds=3)
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..database.delta import Delta
 from ..database.instance import DatabaseInstance
-from ..database.sqlite_backend import SaturationStore
+from ..database.sqlite_backend import SaturationStore, SQLiteBackend
 from ..obs import registry as obs_registry, span as obs_span, tracer as obs_tracer
 from .config import SessionConfig, warn_once
 
@@ -252,16 +252,18 @@ class LearningSession:
 
         Local sessions convert onto ``config.backend`` (once — repeated
         runs over the same source instance reuse the converted one and its
-        warm evaluation service).  Remote sessions re-materialize onto a
-        ``"sqlite-remote"`` backend bound to the session's server
-        connection.  Either way the full sharding topology is (re)applied.
+        warm evaluation service); ``sqlite`` gets a snapshot read pool of
+        ``parallelism`` connections when that exceeds 1.  Remote sessions
+        re-materialize onto a ``"sqlite-remote"`` backend bound to the
+        session's server connection.  Either way the full sharding
+        topology is (re)applied.
 
         The cache watches the source's :meth:`~DatabaseInstance.data_token`:
         a mutation between runs re-converts the instance and drops its
         saturation stores (whose clauses describe the old data), so
-        session runs always see current contents — same semantics as the
-        legacy per-``learn()`` conversion, minus the cost when nothing
-        changed.
+        session runs always see current contents without re-converting
+        when nothing changed.  Learners never convert an instance
+        themselves: this is the only place an instance changes backend.
         """
         self._ensure_open()
         with self._lock:
@@ -331,14 +333,32 @@ class LearningSession:
             prepared = instance.with_backend(backend)
             self._resources.backends.append(backend)
             return prepared, backend
-        if (
-            self.config.backend is not None
-            and self.config.backend != instance.backend_name
+        backend = self.config.backend
+        pool_size = self._pool_size()
+        if backend is None or (
+            backend == instance.backend_name
+            # ``sqlite`` with another pool size is another backend.
+            and (
+                backend != "sqlite"
+                or getattr(instance.backend, "pool_size", None) == pool_size
+            )
         ):
-            prepared = instance.with_backend(self.config.backend)
-            self._resources.backends.append(prepared.backend)
-            return prepared, prepared.backend
-        return instance, None
+            return instance, None
+        # The pool size is fixed at construction (a pooled primary
+        # connection is opened without check_same_thread).
+        prepared = instance.with_backend(
+            backend if pool_size is None else SQLiteBackend(pool_size=pool_size)
+        )
+        self._resources.backends.append(prepared.backend)
+        return prepared, prepared.backend
+
+    def _pool_size(self) -> Optional[int]:
+        """The ``sqlite`` snapshot read pool: ``parallelism`` connections
+        when that exceeds 1, else ``None`` (the single connection)."""
+        parallelism = self.config.parallelism or 1
+        if self.config.backend == "sqlite" and parallelism > 1:
+            return parallelism
+        return None
 
     def prepare_bundle(self, bundle: Any) -> Any:
         """The bundle converted onto this session's backend (cached).
@@ -353,9 +373,9 @@ class LearningSession:
         """
         self._ensure_open()
         backend = self.config.backend
-        if backend is None or self.is_remote:
-            # Remote sessions (and backend-less ones) convert per instance
-            # in prepare(); the bundle itself is reused as-is.
+        if backend is None or self.is_remote or self._pool_size() is not None:
+            # Remote and pooled sessions (and backend-less ones) convert per
+            # instance in prepare(); the bundle itself is reused as-is.
             return bundle
         with self._lock:
             key = id(bundle)
@@ -527,15 +547,10 @@ class LearningSession:
         saturation_store: Optional[SaturationStore] = None,
     ) -> Any:
         """Normalize a learner onto this session's config (see
-        :meth:`SessionConfig.apply`); lets a session double as the
-        ``context=`` argument of any learner constructor.  Instance
-        routing stays with :meth:`prepare`, so the learner never receives
-        a ``backend`` knob it would re-apply per ``learn()``."""
+        :meth:`SessionConfig.apply`).  Instance routing stays with
+        :meth:`prepare`."""
         return self.config.apply(
-            learner,
-            instance=instance,
-            saturation_store=saturation_store,
-            _session_managed=True,
+            learner, instance=instance, saturation_store=saturation_store
         )
 
     def learner(
@@ -549,21 +564,20 @@ class LearningSession:
 
         ``kind`` is a registry name (``"castor"``, ``"progolem"``,
         ``"golem"``, ``"foil"``, ``"progol"``, ``"aleph-foil"``) or a
-        learner class.  The learner is built with the uniform
-        ``context=`` path and wrapped so that ``learn()`` runs on the
+        learner class; ``kwargs`` are the learner's own algorithm inputs
+        (e.g. ``threads``).  The learner is configured through
+        :meth:`apply` and wrapped so that ``learn()`` runs on the
         session's prepared instances and shared stores.
         """
         self._ensure_open()
         cls = _resolve_kind(kind) if isinstance(kind, str) else kind
-        # The session itself is the context, so instance routing stays
-        # session-managed (prepare() handles backends, including remote).
         # ``parameters`` goes by keyword: positionally it would land in
         # e.g. AlephFoilLearner's clause_length slot.
         if parameters is None:
-            learner = cls(schema, context=self, **kwargs)
+            learner = cls(schema, **kwargs)
         else:
-            learner = cls(schema, parameters=parameters, context=self, **kwargs)
-        return SessionLearner(self, learner)
+            learner = cls(schema, parameters=parameters, **kwargs)
+        return SessionLearner(self, self.apply(learner))
 
     def presaturate(
         self, learner: Any, instance: DatabaseInstance, examples: "ExampleSet"

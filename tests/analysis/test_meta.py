@@ -9,7 +9,9 @@ import pytest
 
 from repro.analysis import default_rules, run_analysis
 from repro.analysis.__main__ import main as cli_main
+from repro.analysis import ratchet
 from repro.analysis.ratchet import (
+    EXIT_UNMEASURED,
     compare,
     load_baseline,
     module_for_path,
@@ -171,6 +173,26 @@ def test_ratchet_cli_fails_on_regression(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "repro.learning" in out
+
+
+def test_ratchet_fails_loudly_when_mypy_measures_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    """``python -m mypy`` without mypy installed exits 1 with empty stdout;
+    that is no measurement, not zero errors."""
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps({"modules": {"repro.learning": 1}}))
+    monkeypatch.setattr(ratchet, "run_mypy", lambda target: ("", 1))
+    for extra in ([], ["--update"]):
+        code = ratchet_main(["--baseline", str(baseline), *extra])
+        assert code == EXIT_UNMEASURED
+        captured = capsys.readouterr()
+        assert "UNMEASURED" in captured.err and "ok" not in captured.out
+    assert load_baseline(baseline) == {"repro.learning": 1}  # not rewritten
+
+    # A clean measured run (exit 0, no errors) still passes.
+    monkeypatch.setattr(ratchet, "run_mypy", lambda target: ("", 0))
+    assert ratchet_main(["--baseline", str(baseline)]) == 0
 
 
 def test_ratchet_update_writes_baseline(tmp_path):

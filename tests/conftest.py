@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.database import backend as backend_registry
 from repro.database import (
     DatabaseInstance,
     FunctionalDependency,
@@ -11,15 +12,25 @@ from repro.database import (
     RelationSchema,
     Schema,
 )
+from repro.database.sqlite_backend import SQLiteBackend
 from repro.datasets import hiv, imdb, uwcse
 from repro.transform import DecomposeOperation, SchemaTransformation
 
 
-@pytest.fixture(params=["memory", "sqlite", "sqlite-pooled"])
-def backend(request) -> str:
+@pytest.fixture(params=["memory", "sqlite", "sqlite-pool"])
+def backend(request, monkeypatch) -> str:
     """Storage/evaluation backend under test; parametrizes the shared
     instance fixtures so every database/learning coverage test runs against
-    the dict-indexed memory backend and both SQLite backends."""
+    the dict-indexed memory backend and SQLite with and without a snapshot
+    read pool.  ``sqlite-pool`` builds every ``"sqlite"`` backend of the
+    test with a pool of 2, so batched coverage fans out over snapshots."""
+    if request.param == "sqlite-pool":
+        monkeypatch.setitem(
+            backend_registry._REGISTRY,
+            "sqlite",
+            lambda: SQLiteBackend(pool_size=2),
+        )
+        return "sqlite"
     return request.param
 
 

@@ -1,7 +1,7 @@
 """Cross-backend parity: all backends must be observationally identical.
 
-These tests materialize the same data on the memory, sqlite, and
-sqlite-pooled backends and assert that query evaluation, binding counts,
+These tests materialize the same data on the memory backend and on sqlite
+with and without a snapshot read pool, and assert that query evaluation, binding counts,
 and query-based coverage (sequential and batched) return identical results
 — the invariant ``bench_backend_parity.py`` times at larger scale.
 """
@@ -12,10 +12,11 @@ from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomCl
 from repro.database import backend_names, create_backend
 from repro.database.instance import DatabaseInstance
 from repro.database.query import QueryEvaluator
+from repro.database.sqlite_backend import SQLiteBackend
 from repro.learning.coverage import QueryCoverageEngine, make_coverage_engine
 from repro.logic.parser import parse_clause
+from tests.backends import BACKENDS, make_backend
 
-BACKENDS = ("memory", "sqlite", "sqlite-pooled")
 
 
 def _assert_all_equal(per_backend, context=""):
@@ -30,7 +31,7 @@ def _covered_sets(bundle, variant, clauses):
     results = {}
     examples = bundle.examples.all_examples()
     for backend in BACKENDS:
-        instance = bundle.instance(variant).with_backend(backend)
+        instance = bundle.instance(variant).with_backend(make_backend(backend))
         engine = QueryCoverageEngine(instance)
         results[backend] = [
             frozenset(e.values for e in engine.covered_examples(clause, examples))
@@ -77,7 +78,7 @@ class TestCoverageParity:
             clause = parse_clause(text)
             per_backend = {}
             for backend in BACKENDS:
-                instance = uwcse_bundle.instance(variant).with_backend(backend)
+                instance = uwcse_bundle.instance(variant).with_backend(make_backend(backend))
                 engine = QueryCoverageEngine(instance)
                 per_backend[backend] = frozenset(
                     e.values for e in engine.covered_examples(clause, examples)
@@ -94,7 +95,7 @@ class TestEvaluatorParity:
         )
         memory_eval = QueryEvaluator(memory_instance)
         for backend in BACKENDS[1:]:
-            other_eval = QueryEvaluator(memory_instance.with_backend(backend))
+            other_eval = QueryEvaluator(memory_instance.with_backend(make_backend(backend)))
             assert memory_eval.evaluate_clause(clause) == other_eval.evaluate_clause(
                 clause
             ), backend
@@ -109,7 +110,7 @@ class TestEvaluatorParity:
         clause = parse_clause("q(x) :- r1(x, b), r2(x, c).")
         bindings = {}
         for backend in BACKENDS:
-            instance = DatabaseInstance(simple_schema, backend=backend)
+            instance = DatabaseInstance(simple_schema, backend=make_backend(backend))
             instance.add_tuples("r1", [("a1", "b1"), ("a2", "b2")])
             instance.add_tuples("r2", [("a1", "c1"), ("a1", "c2"), ("a2", "c3")])
             evaluator = QueryEvaluator(instance)
@@ -124,7 +125,7 @@ class TestEvaluatorParity:
 
         schema = Schema([RelationSchema("r", ["a", "b"])], name="tiny")
         for backend in BACKENDS:
-            instance = DatabaseInstance(schema, backend=backend)
+            instance = DatabaseInstance(schema, backend=make_backend(backend))
             instance.add_tuple("r", ("x", "y"))
             evaluator = QueryEvaluator(instance)
             missing = parse_clause("q(x) :- nope(x).")
@@ -135,14 +136,16 @@ class TestEvaluatorParity:
 
 class TestBackendPlumbing:
     def test_registry_names_and_errors(self):
-        assert set(BACKENDS) <= set(backend_names())
+        assert backend_names() == (
+            "memory", "sqlite", "sqlite-remote", "sqlite-sharded"
+        )
         with pytest.raises(ValueError):
             create_backend("voltdb")
 
     def test_with_backend_roundtrip(self, simple_instance):
         for backend in BACKENDS:
-            converted = simple_instance.with_backend(backend)
-            assert converted.backend_name == backend
+            converted = simple_instance.with_backend(make_backend(backend))
+            assert converted.backend_name == backend.replace("-pool", "")
             assert converted.same_contents(simple_instance)
             assert converted == simple_instance
 
@@ -164,10 +167,10 @@ class TestBackendPlumbing:
 
 
 class TestPooledBackend:
-    """Behavior specific to the sqlite-pooled snapshot machinery."""
+    """Behavior specific to sqlite's snapshot read pool."""
 
     def _instance(self, simple_schema):
-        instance = DatabaseInstance(simple_schema, backend="sqlite-pooled")
+        instance = DatabaseInstance(simple_schema, backend=make_backend("sqlite-pool"))
         instance.add_tuples("r1", [("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
         instance.add_tuples("r2", [("a1", "c1"), ("a2", "c2"), ("a3", "c3")])
         return instance
@@ -236,8 +239,12 @@ class TestPooledBackend:
             pass
         assert pool.snapshots_taken == taken
 
-    def test_registry_and_default_pool_size(self):
-        backend = create_backend("sqlite-pooled")
-        assert backend.name == "sqlite-pooled"
-        assert backend.supports_compiled_queries
-        assert backend.pool_size >= 1
+    def test_pool_exists_only_when_sized(self):
+        plain = create_backend("sqlite")
+        assert plain.pool is None and plain.pool_size is None
+        assert plain.supports_concurrent_reads is False
+        pooled = SQLiteBackend(pool_size=3)
+        assert pooled.name == "sqlite"
+        assert pooled.supports_compiled_queries
+        assert pooled.pool_size == 3 and pooled.pool is not None
+        assert pooled.supports_concurrent_reads

@@ -150,6 +150,13 @@ def test_apply_delta_wire_contract(server):
                 ("delta-probe", hash_v2, "any", Delta.add("nope", [(1,)])),
             )
 
+        # Only a Delta advances a payload; bare op tuples are refused.
+        with pytest.raises(ServerError, match="takes a Delta"):
+            client.request(
+                "apply_delta",
+                ("delta-probe", hash_v2, "any", [("add", "p", [(9, 9)])]),
+            )
+
         # A stale base hash is a version mismatch, same as a stale batch.
         with pytest.raises(ServerError, match="different data version"):
             client.request(

@@ -53,6 +53,12 @@ def progolem_spec() -> LearnerSpec:
     return LearnerSpec("ProGolem", factory)
 
 
+def sqlite_baseline(bundle, variant):
+    """The local single-connection sqlite result a server run must match."""
+    with LearningSession(SessionConfig(backend="sqlite")) as session:
+        return run_variant(bundle, variant, progolem_spec(), folds=2, session=session)
+
+
 def as_key(result):
     clauses = [str(c) for c in result.definition] if result.definition else []
     return (
@@ -69,9 +75,7 @@ def as_key(result):
 # --------------------------------------------------------------------- #
 def test_two_sequential_runs_share_one_warm_instance(tiny_bundle, server):
     variant = tiny_bundle.variant_names[0]
-    baseline = run_variant(
-        tiny_bundle, variant, progolem_spec(), folds=2, backend="sqlite"
-    )
+    baseline = sqlite_baseline(tiny_bundle, variant)
 
     with LearningSession.connect(server.address) as first:
         run1 = run_variant(
@@ -104,9 +108,7 @@ def test_two_sequential_runs_share_one_warm_instance(tiny_bundle, server):
 def test_concurrent_sessions_share_the_server(tiny_bundle, server):
     variants = tiny_bundle.variant_names[:2]
     baselines = {
-        variant: run_variant(
-            tiny_bundle, variant, progolem_spec(), folds=2, backend="sqlite"
-        )
+        variant: sqlite_baseline(tiny_bundle, variant)
         for variant in variants
     }
 
@@ -242,9 +244,7 @@ def test_shared_handle_with_divergent_data_stays_correct(tiny_bundle, server):
     each keep getting their own (correct) results — at re-ship cost, never
     silently wrong ones."""
     variant_a, variant_b = tiny_bundle.variant_names[:2]
-    baseline_a = run_variant(
-        tiny_bundle, variant_a, progolem_spec(), folds=2, backend="sqlite"
-    )
+    baseline_a = sqlite_baseline(tiny_bundle, variant_a)
     with LearningSession.connect(
         server.address, instance_handle="shared-handle"
     ) as session_a, LearningSession.connect(
@@ -364,9 +364,7 @@ def test_serve_cli_accepts_sessions(tiny_bundle):
         banner = proc.stdout.readline()
         address = banner.strip().rsplit("listening on ", 1)[1]
         variant = tiny_bundle.variant_names[0]
-        baseline = run_variant(
-            tiny_bundle, variant, progolem_spec(), folds=2, backend="sqlite"
-        )
+        baseline = sqlite_baseline(tiny_bundle, variant)
         with LearningSession.connect(address) as session:
             served = run_variant(
                 tiny_bundle, variant, progolem_spec(), folds=2, session=session

@@ -87,14 +87,14 @@ def test_instance_payload_roundtrips_schema_constraints_and_rows():
     payload = InstancePayload(
         schema,
         {"r": [(1, "x"), (2.5, None), (True, "y")], "s": [("z",)]},
-        backend="sqlite-pooled",
+        backend="memory",
         pool_size=3,
     )
     _, (handle, content_hash, decoded) = roundtrip(("load", ("h", "v1", payload)))
     assert (handle, content_hash) == ("h", "v1")
     assert decoded.rows == payload.rows
     assert decoded.rows["r"][2][0] is True  # bool stays bool, not 1
-    assert decoded.backend == "sqlite-pooled"
+    assert decoded.backend == "memory"
     assert decoded.pool_size == 3
     assert decoded.schema == schema
     assert decoded.schema.functional_dependencies[0].relation == "r"

@@ -1,5 +1,5 @@
-"""Harness knobs: warn-once best-effort settings, shards=, and
-cross-validation saturation-store reuse."""
+"""Harness on session configs: warn-once best-effort settings, sharded
+sessions, and cross-validation saturation-store reuse."""
 
 from __future__ import annotations
 
@@ -7,12 +7,11 @@ import warnings
 
 import pytest
 
+from repro import LearningSession, SessionConfig
 from repro.database import DatabaseInstance, RelationSchema, Schema
 from repro.datasets import uwcse
 from repro.experiments.harness import (
     LearnerSpec,
-    _apply_parallelism,
-    _apply_shards,
     check_schema_independence,
     run_variant,
 )
@@ -46,100 +45,48 @@ def progolem_spec() -> LearnerSpec:
 # --------------------------------------------------------------------- #
 # Warn-once semantics
 # --------------------------------------------------------------------- #
-class KnoblessLearnerAlpha:
-    pass
-
-
-class KnoblessLearnerBeta:
-    pass
-
-
-def test_apply_parallelism_warns_once_per_situation():
-    with pytest.warns(RuntimeWarning, match="KnoblessLearnerAlpha.*parallelism=3"):
-        _apply_parallelism(KnoblessLearnerAlpha(), 3)
-    # Same learner class again: silent (already reported).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _apply_parallelism(KnoblessLearnerAlpha(), 3)
-    # A different situation still warns.
-    with pytest.warns(RuntimeWarning, match="KnoblessLearnerBeta"):
-        _apply_parallelism(KnoblessLearnerBeta(), 3)
-
-
-def test_apply_parallelism_still_sets_the_knob():
-    learner = ProGolemLearner(Schema([RelationSchema("r", ["a"])], name="s"))
-    assert _apply_parallelism(learner, 5) is learner
-    assert learner.parallelism == 5
-    # parallelism=None is "unset", never a warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _apply_parallelism(KnoblessLearnerAlpha(), None)
-
-
-def test_apply_shards_warns_once_on_unsharded_backends():
+def test_shards_warn_once_on_unsharded_backends():
     schema = Schema([RelationSchema("r", ["a", "b"])], name="warnme")
     instance = DatabaseInstance(schema)  # memory backend: no shard service
     with pytest.warns(RuntimeWarning, match="'memory'.*shards=2"):
-        _apply_shards(instance, 2)
+        SessionConfig(shards=2).apply(instance=instance)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _apply_shards(instance, 2)  # second time: silent
-        _apply_shards(instance, None)  # unset: silent
-
-
-def test_learners_accept_saturation_store_kwarg():
-    """Both bottom-up learners take saturation_store= at construction."""
-    from repro.castor.castor import CastorLearner
-    from repro.database.sqlite_backend import SaturationStore
-
-    schema = Schema([RelationSchema("r", ["a"])], name="s")
-    store = SaturationStore()
-    assert CastorLearner(schema, saturation_store=store).saturation_store is store
-    assert ProGolemLearner(schema, saturation_store=store).saturation_store is store
-
-
-def test_apply_shards_configures_sharded_backends():
-    schema = Schema([RelationSchema("r", ["a", "b"])], name="shardme")
-    instance = DatabaseInstance(schema, backend="sqlite-sharded")
-    _apply_shards(instance, 3)
-    assert instance.backend.shards == 3
-    instance.backend.close()
+        SessionConfig(shards=2).apply(instance=instance)  # second time: silent
+        SessionConfig().apply(instance=instance)  # unset: silent
 
 
 # --------------------------------------------------------------------- #
-# shards= threaded through the harness entry points
+# Sharded sessions through the harness entry points
 # --------------------------------------------------------------------- #
 def test_run_variant_on_sharded_backend(tiny_bundle):
     variant = tiny_bundle.variant_names[0]
-    baseline = run_variant(
-        tiny_bundle, variant, progolem_spec(), folds=2, backend="sqlite"
+    with LearningSession(SessionConfig(backend="sqlite")) as session:
+        baseline = run_variant(
+            tiny_bundle, variant, progolem_spec(), folds=2, session=session
+        )
+    sharded_config = SessionConfig(
+        backend="sqlite-sharded", shards=2, parallelism=2
     )
-    sharded = run_variant(
-        tiny_bundle,
-        variant,
-        progolem_spec(),
-        folds=2,
-        backend="sqlite-sharded",
-        shards=2,
-        parallelism=2,
-    )
+    with LearningSession(sharded_config) as session:
+        sharded = run_variant(
+            tiny_bundle, variant, progolem_spec(), folds=2, session=session
+        )
     assert sharded.precision == baseline.precision
     assert sharded.recall == baseline.recall
     assert sharded.f1 == baseline.f1
 
 
-def test_check_schema_independence_accepts_shards(tiny_bundle):
+def test_check_schema_independence_on_sharded_backend(tiny_bundle):
     variants = tiny_bundle.variant_names[:2]
-    baseline = check_schema_independence(
-        tiny_bundle, progolem_spec(), variants=variants, backend="sqlite"
-    )
-    sharded = check_schema_independence(
-        tiny_bundle,
-        progolem_spec(),
-        variants=variants,
-        backend="sqlite-sharded",
-        shards=2,
-    )
+    with LearningSession(SessionConfig(backend="sqlite")) as session:
+        baseline = check_schema_independence(
+            tiny_bundle, progolem_spec(), variants=variants, session=session
+        )
+    with LearningSession(SessionConfig(backend="sqlite-sharded", shards=2)) as session:
+        sharded = check_schema_independence(
+            tiny_bundle, progolem_spec(), variants=variants, session=session
+        )
     assert sharded.result_sizes == baseline.result_sizes
     assert sharded.pairwise_equivalent == baseline.pairwise_equivalent
 
@@ -147,6 +94,14 @@ def test_check_schema_independence_accepts_shards(tiny_bundle):
 # --------------------------------------------------------------------- #
 # Saturation-store reuse across folds
 # --------------------------------------------------------------------- #
+def run_on_sqlite(bundle, spec, folds, **config):
+    """``run_variant`` on the first variant through a sqlite session."""
+    with LearningSession(SessionConfig(backend="sqlite", **config)) as session:
+        return run_variant(
+            bundle, bundle.variant_names[0], spec, folds=folds, session=session
+        )
+
+
 def as_key(result):
     definition = result.definition
     clauses = sorted(str(c) for c in definition) if definition else []
@@ -162,22 +117,11 @@ def as_key(result):
 def test_fold_results_identical_with_and_without_store_reuse(tiny_bundle):
     """Satellite: reusing one SaturationStore across folds changes timing
     only — metrics and learned definitions are identical."""
-    variant = tiny_bundle.variant_names[0]
-    fresh = run_variant(
-        tiny_bundle,
-        variant,
-        progolem_spec(),
-        folds=3,
-        backend="sqlite",
-        reuse_saturation_store=False,
+    fresh = run_on_sqlite(
+        tiny_bundle, progolem_spec(), 3, reuse_saturation_store=False
     )
-    reused = run_variant(
-        tiny_bundle,
-        variant,
-        progolem_spec(),
-        folds=3,
-        backend="sqlite",
-        reuse_saturation_store=True,
+    reused = run_on_sqlite(
+        tiny_bundle, progolem_spec(), 3, reuse_saturation_store=True
     )
     assert as_key(fresh) == as_key(reused)
 
@@ -196,14 +140,7 @@ def test_store_is_shared_across_fold_learners(tiny_bundle):
         return learner
 
     spec.factory = spying_factory
-    run_variant(
-        tiny_bundle,
-        tiny_bundle.variant_names[0],
-        spec,
-        folds=2,
-        backend="sqlite",
-        reuse_saturation_store=True,
-    )
+    run_on_sqlite(tiny_bundle, spec, 2, reuse_saturation_store=True)
     stores = {id(learner.saturation_store) for learner in seen}
     assert len(seen) >= 2, "cross-validation should build one learner per fold"
     assert len(stores) == 1
@@ -211,7 +148,7 @@ def test_store_is_shared_across_fold_learners(tiny_bundle):
 
 
 def test_presaturate_warms_the_shared_store_before_folding(tiny_bundle):
-    """presaturate= materializes every example into the shared store up
+    """presaturate materializes every example into the shared store up
     front (one batched call) and fold results are unchanged."""
     spec = progolem_spec()
     seen = []
@@ -223,27 +160,11 @@ def test_presaturate_warms_the_shared_store_before_folding(tiny_bundle):
         return learner
 
     spec.factory = spying_factory
-    warmed = run_variant(
-        tiny_bundle,
-        tiny_bundle.variant_names[0],
-        spec,
-        folds=2,
-        backend="sqlite",
-        reuse_saturation_store=True,
-        presaturate=True,
-    )
+    warmed = run_on_sqlite(tiny_bundle, spec, 2, presaturate=True)
     store = seen[0].saturation_store
     assert len(store) == len(tiny_bundle.examples.all_examples())
 
-    cold = run_variant(
-        tiny_bundle,
-        tiny_bundle.variant_names[0],
-        progolem_spec(),
-        folds=2,
-        backend="sqlite",
-        reuse_saturation_store=True,
-        presaturate=False,
-    )
+    cold = run_on_sqlite(tiny_bundle, progolem_spec(), 2, presaturate=False)
     assert (warmed.precision, warmed.recall, warmed.f1) == (
         cold.precision,
         cold.recall,

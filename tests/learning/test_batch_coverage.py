@@ -17,6 +17,7 @@ from repro.learning.coverage import (
     make_coverage_engine,
 )
 from repro.learning.examples import Example
+from tests.backends import BACKENDS, make_backend
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +46,8 @@ class TestBatchDeterminism:
         """Batched scoring is input-ordered and identical for p=1 vs p=4."""
         instance, clauses, examples = workload
         all_examples = examples.all_examples()
-        for backend in ("memory", "sqlite", "sqlite-pooled"):
-            converted = instance.with_backend(backend)
+        for backend in BACKENDS:
+            converted = instance.with_backend(make_backend(backend))
             engine = QueryCoverageEngine(converted)
             sequential = [
                 frozenset(e.values for e in engine.covered_examples(c, all_examples))
@@ -102,7 +103,7 @@ class TestBatchDeterminism:
         instance, clauses, examples = workload
         all_examples = examples.all_examples()
         batch = BatchCoverageEngine(
-            QueryCoverageEngine(instance.with_backend("sqlite-pooled")), parallelism=3
+            QueryCoverageEngine(instance.with_backend(make_backend("sqlite-pool"))), parallelism=3
         )
         doubled = [clauses[0], clauses[0], clauses[0]]
         results = _value_sets(batch.covered_examples_batch(doubled, all_examples))
@@ -134,7 +135,7 @@ class TestCompiledSubsumptionParity:
             instance.with_backend("sqlite")
         ).compiled_enabled
         assert SubsumptionCoverageEngine(
-            instance.with_backend("sqlite-pooled")
+            instance.with_backend(make_backend("sqlite-pool"))
         ).compiled_enabled
 
     def test_shared_store_deduplicates_examples(self, workload):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.database import Delta, as_delta
+from repro.database import Delta
 from repro.database.instance import DatabaseInstance
 from repro.database.schema import RelationSchema, Schema
 from repro.database.sqlite_backend import SaturationStore
@@ -61,8 +61,6 @@ class TestDelta:
             Delta([("upsert", "r", [("x",)])])
         with pytest.raises(ValueError):
             Delta([("add", "", [("x",)])])
-        with pytest.raises(ValueError):
-            as_delta(42)
 
     def test_classmethods_then_and_coalesced(self):
         delta = Delta.add("r", [("x",), ("x",), ("y",)]).then(
@@ -74,12 +72,6 @@ class TestDelta:
             ("add", "r", (("x",), ("y",), ("z",))),
             ("remove", "r", (("x",),)),
         )
-
-    def test_as_delta_accepts_legacy_shapes(self):
-        assert as_delta(("add", "r", (("x",),))).ops == (("add", "r", (("x",),)),)
-        assert as_delta([("add", "r", (("x",),)), ("remove", "r", (("y",),))]).row_count == 2
-        delta = Delta.add("r", [("x",)])
-        assert as_delta(delta) is delta
 
     def test_equality_hash_pickle(self):
         import pickle  # repro: noqa[REP001] -- Deltas cross the trusted coordinator<->worker seam in pickle frames; this asserts they survive the round-trip

@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.database import DatabaseInstance, RelationSchema, Schema
+from repro.database.sqlite_backend import SQLiteBackend
 from repro.learning.coverage import SubsumptionCoverageEngine
 from repro.learning.examples import ExampleSet
 from repro.learning.prefetch import SaturationPrefetcher, backend_supports_prefetch
@@ -66,7 +67,9 @@ class TestCapabilityGating:
         _, instance, _ = advised_problem
         assert backend_supports_prefetch(instance)  # memory
         assert not backend_supports_prefetch(instance.with_backend("sqlite"))
-        assert backend_supports_prefetch(instance.with_backend("sqlite-pooled"))
+        assert backend_supports_prefetch(
+            instance.with_backend(SQLiteBackend(pool_size=2))
+        )
 
     def test_prefetch_never_forced_onto_unsafe_backend(self, advised_problem):
         schema, instance, _ = advised_problem

@@ -25,8 +25,8 @@ from repro.learning.bottom_clause import (
     compute_theory_constants,
 )
 from repro.learning.coverage import SubsumptionCoverageEngine
+from tests.backends import BACKENDS, make_backend
 
-BACKENDS = ("memory", "sqlite", "sqlite-pooled")
 
 
 def clause_strings(clauses):
@@ -50,7 +50,7 @@ def test_neighbors_of_batch_matches_per_value_lookups(uwcse_workload):
     )[:30] + ["no-such-value"]
     reference = None
     for backend in BACKENDS:
-        converted = instance.with_backend(backend)
+        converted = instance.with_backend(make_backend(backend))
         assert converted.backend.supports_saturation_queries
         batch = {
             value: sorted(found)
@@ -75,7 +75,7 @@ def test_builder_parity_across_backends_and_lookup_paths(uwcse_workload, variabl
     config = BottomClauseConfig(max_depth=3)
     reference = None
     for backend in BACKENDS:
-        converted = instance.with_backend(backend)
+        converted = instance.with_backend(make_backend(backend))
         for compiled in (False, True):
             builder = BottomClauseBuilder(
                 converted, config, use_compiled_lookups=compiled
@@ -106,7 +106,7 @@ def test_castor_builder_parity_across_backends_and_lookup_paths(uwcse_bundle):
     config = CastorBottomClauseConfig()
     reference = None
     for backend in BACKENDS:
-        converted = instance.with_backend(backend)
+        converted = instance.with_backend(make_backend(backend))
         for compiled in (False, True):
             builder = CastorBottomClauseBuilder(
                 converted, schema, config, use_compiled_lookups=compiled
@@ -125,7 +125,7 @@ def test_theory_constants_identical_across_backends(uwcse_workload):
     instance, _examples = uwcse_workload
     reference = None
     for backend in BACKENDS:
-        converted = instance.with_backend(backend)
+        converted = instance.with_backend(make_backend(backend))
         constants = compute_theory_constants(converted, threshold=12)
         if reference is None:
             reference = constants

@@ -5,11 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import LearningSession, SessionConfig
-from repro.castor.castor import CastorLearner
+from repro.database.sqlite_backend import SQLiteBackend
 from repro.datasets import uwcse
 from repro.experiments.harness import LearnerSpec, run_variant
 from repro.foil.foil import FoilLearner
-from repro.golem.golem import GolemLearner
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
 from repro.session.session import SessionLearner
@@ -50,43 +49,30 @@ def as_key(result):
 
 
 # --------------------------------------------------------------------- #
-# Uniform context= construction
+# Learners take algorithm inputs only; the session configures them
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "learner_class", [CastorLearner, FoilLearner, GolemLearner, ProGolemLearner]
-)
-def test_every_learner_takes_context(learner_class, tiny_bundle):
-    config = SessionConfig(backend="sqlite-pooled", parallelism=3)
-    learner = learner_class(
-        tiny_bundle.schema(tiny_bundle.variant_names[0]), context=config
-    )
-    assert learner.parallelism == 3
-    assert learner.backend == "sqlite-pooled"
+def test_no_learner_takes_evaluation_kwargs():
+    """Backend, pool, shards, store and context live on the session only."""
+    import inspect
+
+    from repro.session.session import _learner_kinds
+
+    knobs = {"backend", "parallelism", "shards", "saturation_store", "context"}
+    for kind, cls in _learner_kinds().items():
+        accepted = set(inspect.signature(cls).parameters)
+        assert not accepted & knobs, (kind, accepted & knobs)
+        assert not any(
+            p.kind is inspect.Parameter.VAR_KEYWORD
+            for p in inspect.signature(cls).parameters.values()
+        ), kind
 
 
-def test_session_doubles_as_context(tiny_bundle):
+def test_session_apply_configures_a_learner(tiny_bundle):
     with LearningSession(SessionConfig(parallelism=2)) as session:
-        learner = ProGolemLearner(
-            tiny_bundle.schema(tiny_bundle.variant_names[0]), context=session
+        learner = session.apply(
+            ProGolemLearner(tiny_bundle.schema(tiny_bundle.variant_names[0]))
         )
         assert learner.parallelism == 2
-
-
-def test_session_context_pushes_local_backend(tiny_bundle):
-    """context=session must not silently drop the configured backend on a
-    bare constructor — learn() without session.prepare still converts."""
-    with LearningSession(SessionConfig(backend="sqlite-pooled")) as session:
-        learner = ProGolemLearner(
-            tiny_bundle.schema(tiny_bundle.variant_names[0]), context=session
-        )
-        assert learner.backend == "sqlite-pooled"
-
-
-def test_connect_shaped_config_warns_on_bare_context(tiny_bundle):
-    schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
-    config = SessionConfig(service_address="127.0.0.1:7463")
-    with pytest.warns(RuntimeWarning, match="evaluate locally"):
-        ProGolemLearner(schema, context=config)
 
 
 def test_every_registry_kind_constructs(tiny_bundle):
@@ -144,11 +130,15 @@ def test_session_learner_registry(tiny_bundle):
 # --------------------------------------------------------------------- #
 # session.run / session.learner parity with the per-run path
 # --------------------------------------------------------------------- #
-def test_session_run_matches_legacy_run_variant(tiny_bundle):
+def run_alone(bundle, variant, spec, **config):
+    """``run_variant`` through a fresh session of its own."""
+    with LearningSession(SessionConfig(**config)) as session:
+        return run_variant(bundle, variant, spec, folds=2, session=session)
+
+
+def test_session_run_matches_run_variant(tiny_bundle):
     variant = tiny_bundle.variant_names[0]
-    legacy = run_variant(
-        tiny_bundle, variant, progolem_spec(), folds=2, backend="sqlite"
-    )
+    legacy = run_alone(tiny_bundle, variant, progolem_spec(), backend="sqlite")
     with LearningSession(SessionConfig(backend="sqlite")) as session:
         through_session = session.run(tiny_bundle, variant, progolem_spec(), folds=2)
         repeat = session.run(tiny_bundle, variant, progolem_spec(), folds=2)
@@ -160,9 +150,9 @@ def test_session_learner_learn_matches_direct_learner(tiny_bundle):
     variant = tiny_bundle.variant_names[0]
     schema = tiny_bundle.schema(variant)
     instance = tiny_bundle.instance(variant)
-    direct = ProGolemLearner(
-        schema, progolem_parameters(), backend="sqlite"
-    ).learn(instance, tiny_bundle.examples)
+    direct = ProGolemLearner(schema, progolem_parameters()).learn(
+        instance.with_backend("sqlite"), tiny_bundle.examples
+    )
     with LearningSession(SessionConfig(backend="sqlite")) as session:
         learner = session.learner("progolem", schema, progolem_parameters())
         through_session = learner.learn(instance, tiny_bundle.examples)
@@ -251,7 +241,7 @@ def test_multi_spec_sweep_matches_per_run_path(tiny_bundle):
         ),
     )
     isolated = [
-        run_variant(tiny_bundle, variant, spec, folds=2, backend="sqlite")
+        run_alone(tiny_bundle, variant, spec, backend="sqlite")
         for spec in (progolem_spec(), deep_spec)
     ]
     with LearningSession(SessionConfig(backend="sqlite")) as session:
@@ -275,9 +265,15 @@ def test_topology_knobs_reach_the_backend(tiny_bundle):
         assert prepared.backend.transport == "socket"
 
 
-@pytest.mark.parametrize("source_backend", ["memory", "sqlite", "sqlite-pooled"])
+@pytest.mark.parametrize(
+    "source_backend",
+    ["memory", "sqlite", lambda: SQLiteBackend(pool_size=2)],
+    ids=["memory", "sqlite", "sqlite-pool"],
+)
 def test_data_token_moves_on_mutation(tiny_bundle, source_backend):
-    """Every registered backend exposes a contents-version token."""
+    """Every local backend, pooled or not, exposes a contents-version token."""
+    if callable(source_backend):
+        source_backend = source_backend()
     instance = tiny_bundle.instance(tiny_bundle.variant_names[0]).with_backend(
         source_backend
     )
@@ -343,21 +339,40 @@ def test_reuse_disabled_hands_out_no_store(tiny_bundle):
 
 
 # --------------------------------------------------------------------- #
-# Harness integration rules
+# The sqlite snapshot read pool is sized by parallelism
 # --------------------------------------------------------------------- #
-def test_per_call_knobs_rejected_with_explicit_session(tiny_bundle):
+def test_parallelism_sizes_the_sqlite_pool_without_changing_definitions(
+    tiny_bundle,
+):
+    """``sqlite`` at ``parallelism=4`` learns the definitions ``memory``
+    learns, over a read pool; unset ``parallelism`` keeps one connection.
+
+    Castor's subsumption coverage does not read through the pool; FOIL's
+    batched query coverage does, so the snapshot count rides on FOIL in the
+    same session."""
     variant = tiny_bundle.variant_names[0]
-    with LearningSession(SessionConfig(backend="sqlite")) as session:
-        with pytest.raises(ValueError, match="SessionConfig"):
-            run_variant(
-                tiny_bundle, variant, progolem_spec(), backend="memory",
-                session=session,
-            )
-        with pytest.raises(ValueError, match="parallelism"):
-            run_variant(
-                tiny_bundle, variant, progolem_spec(), parallelism=2,
-                session=session,
-            )
+    schema = tiny_bundle.schema(variant)
+    instance = tiny_bundle.instance(variant)
+
+    def learn_all(config):
+        with LearningSession(config) as session:
+            definitions = [
+                str(session.learner(kind, schema).learn(instance, tiny_bundle.examples))
+                for kind in ("castor", "foil")
+            ]
+            return definitions, session.prepare(instance).backend
+
+    expected, _ = learn_all(SessionConfig(backend="memory"))
+    pooled, backend = learn_all(SessionConfig(backend="sqlite", parallelism=4))
+    assert pooled == expected
+    assert backend.pool_size == 4
+    assert backend.supports_concurrent_reads
+    assert backend.pool.snapshots_taken > 0
+
+    single, backend = learn_all(SessionConfig(backend="sqlite"))
+    assert single == expected
+    assert backend.pool is None and backend.pool_size is None
+    assert backend.supports_concurrent_reads is False
 
 
 # --------------------------------------------------------------------- #

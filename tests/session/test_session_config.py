@@ -11,7 +11,7 @@ from repro.database import DatabaseInstance, RelationSchema, Schema
 from repro.progolem.progolem import ProGolemLearner
 from repro.session import COVERAGE_STRATEGIES, SessionConfig
 
-BACKENDS = ["memory", "sqlite", "sqlite-pooled", "sqlite-sharded"]
+BACKENDS = ["memory", "sqlite", "sqlite-sharded"]
 
 
 def schema() -> Schema:
@@ -31,12 +31,9 @@ def test_shards_requires_a_sharded_backend(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_parallelism_rejected_only_on_single_connection_sqlite(backend):
-    if backend == "sqlite":
-        with pytest.raises(ValueError, match="sqlite-pooled"):
-            SessionConfig(backend=backend, parallelism=2)
-    else:
-        assert SessionConfig(backend=backend, parallelism=2).parallelism == 2
+def test_parallelism_is_coherent_on_every_backend(backend):
+    # On sqlite it sizes the snapshot read pool instead of being rejected.
+    assert SessionConfig(backend=backend, parallelism=2).parallelism == 2
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -145,12 +142,12 @@ class ConfigKnoblessLearner:
 def test_apply_sets_knobs_the_learner_exposes():
     learner = ProGolemLearner(schema())
     config = SessionConfig(
-        backend="sqlite-pooled", parallelism=5, coverage="subsumption-python"
+        backend="sqlite", parallelism=5, coverage="subsumption-python"
     )
     assert config.apply(learner) is learner
     assert learner.parallelism == 5
-    assert learner.backend == "sqlite-pooled"
     assert learner.compiled_coverage is False
+    assert not hasattr(learner, "backend")
 
 
 def test_apply_warns_once_on_learners_without_the_knob():
@@ -175,9 +172,3 @@ def test_apply_configures_instance_sharding():
     SessionConfig(backend="sqlite-sharded", shards=3).apply(instance=instance)
     assert instance.backend.shards == 3
     instance.backend.close()
-
-
-def test_apply_without_instance_sets_learner_shards():
-    learner = ProGolemLearner(schema())
-    SessionConfig(backend="sqlite-sharded", shards=3).apply(learner)
-    assert learner.shards == 3
