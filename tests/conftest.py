@@ -15,9 +15,10 @@ from repro.database import (
 from repro.database.sqlite_backend import SQLiteBackend
 from repro.datasets import hiv, imdb, uwcse
 from repro.transform import DecomposeOperation, SchemaTransformation
+from tests.backends import BACKENDS
 
 
-@pytest.fixture(params=["memory", "sqlite", "sqlite-pool"])
+@pytest.fixture(params=BACKENDS)
 def backend(request, monkeypatch) -> str:
     """Storage/evaluation backend under test; parametrizes the shared
     instance fixtures so every database/learning coverage test runs against

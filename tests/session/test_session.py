@@ -59,11 +59,11 @@ def test_no_learner_takes_evaluation_kwargs():
 
     knobs = {"backend", "parallelism", "shards", "saturation_store", "context"}
     for kind, cls in _learner_kinds().items():
-        accepted = set(inspect.signature(cls).parameters)
-        assert not accepted & knobs, (kind, accepted & knobs)
-        assert not any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in inspect.signature(cls).parameters.values()
+        parameters = inspect.signature(cls).parameters
+        assert not set(parameters) & knobs, (kind, set(parameters) & knobs)
+        assert all(
+            p.kind is not inspect.Parameter.VAR_KEYWORD
+            for p in parameters.values()
         ), kind
 
 
