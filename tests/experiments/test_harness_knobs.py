@@ -3,6 +3,7 @@ sessions, and cross-validation saturation-store reuse."""
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
@@ -13,6 +14,7 @@ from repro.datasets import uwcse
 from repro.experiments.harness import (
     LearnerSpec,
     check_schema_independence,
+    run_schema_sweep,
     run_variant,
 )
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
@@ -54,6 +56,52 @@ def test_shards_warn_once_on_unsharded_backends():
         warnings.simplefilter("error")
         SessionConfig(shards=2).apply(instance=instance)  # second time: silent
         SessionConfig().apply(instance=instance)  # unset: silent
+
+
+# --------------------------------------------------------------------- #
+# The session is the only way to configure a harness run
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "entry_point", [run_variant, run_schema_sweep, check_schema_independence]
+)
+def test_harness_entry_points_take_no_evaluation_kwargs(entry_point):
+    parameters = inspect.signature(entry_point).parameters
+    knobs = {
+        "backend", "parallelism", "shards", "reuse_saturation_store",
+        "presaturate",
+    }
+    assert not set(parameters) & knobs
+    assert "session" in parameters
+
+
+def test_run_variant_applies_the_session_parallelism(tiny_bundle):
+    spec = progolem_spec()
+    seen = []
+    build = spec.factory
+
+    def spying_factory(schema):
+        learner = build(schema)
+        seen.append(learner)
+        return learner
+
+    spec.factory = spying_factory
+    with LearningSession(SessionConfig(parallelism=5)) as session:
+        run_variant(
+            tiny_bundle, tiny_bundle.variant_names[0], spec, folds=2,
+            session=session,
+        )
+    assert len(seen) >= 2
+    assert all(learner.parallelism == 5 for learner in seen)
+
+
+def test_run_variant_without_session_opens_a_default_session(tiny_bundle):
+    variant = tiny_bundle.variant_names[0]
+    alone = run_variant(tiny_bundle, variant, progolem_spec(), folds=2)
+    with LearningSession() as session:
+        default = run_variant(
+            tiny_bundle, variant, progolem_spec(), folds=2, session=session
+        )
+    assert as_key(alone) == as_key(default)
 
 
 # --------------------------------------------------------------------- #

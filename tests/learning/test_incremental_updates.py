@@ -73,6 +73,31 @@ class TestDelta:
             ("remove", "r", (("x",),)),
         )
 
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            ("add", "r", (("y", 2),)),
+            [("add", "r", (("y", 2),)), ("remove", "r", (("x", 1),))],
+        ],
+        ids=["op-tuple", "op-list"],
+    )
+    def test_worker_apply_delta_takes_only_a_delta(self, legacy):
+        """The coordinator->worker ``apply_delta`` kind refuses the bare op
+        shapes older callers sent; the same ops as a Delta apply."""
+        from repro.distributed.worker import InstancePayload, WorkerState
+
+        worker = WorkerState()
+        worker.handle_init(
+            InstancePayload(tiny_schema(), {"r": [("x", 1)]}, backend="memory")
+        )
+        with pytest.raises(TypeError, match="takes a Delta"):
+            worker.handle_apply_delta((legacy,))
+        assert worker.instance.relation("r").rows == {("x", 1)}
+        ops = [legacy] if isinstance(legacy, tuple) else legacy
+        worker.handle_apply_delta((Delta(ops),))
+        expected = {("y", 2)} | ({("x", 1)} if isinstance(legacy, tuple) else set())
+        assert worker.instance.relation("r").rows == expected
+
     def test_equality_hash_pickle(self):
         import pickle  # repro: noqa[REP001] -- Deltas cross the trusted coordinator<->worker seam in pickle frames; this asserts they survive the round-trip
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro import LearningSession, SessionConfig
@@ -11,7 +13,7 @@ from repro.experiments.harness import LearnerSpec, run_variant
 from repro.foil.foil import FoilLearner
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
-from repro.session.session import SessionLearner
+from repro.session.session import SessionLearner, _learner_kinds
 
 
 @pytest.fixture(scope="module")
@@ -51,20 +53,15 @@ def as_key(result):
 # --------------------------------------------------------------------- #
 # Learners take algorithm inputs only; the session configures them
 # --------------------------------------------------------------------- #
-def test_no_learner_takes_evaluation_kwargs():
+@pytest.mark.parametrize("kind", sorted(_learner_kinds()))
+def test_no_learner_takes_evaluation_kwargs(kind):
     """Backend, pool, shards, store and context live on the session only."""
-    import inspect
-
-    from repro.session.session import _learner_kinds
-
+    parameters = inspect.signature(_learner_kinds()[kind]).parameters
     knobs = {"backend", "parallelism", "shards", "saturation_store", "context"}
-    for kind, cls in _learner_kinds().items():
-        parameters = inspect.signature(cls).parameters
-        assert not set(parameters) & knobs, (kind, set(parameters) & knobs)
-        assert all(
-            p.kind is not inspect.Parameter.VAR_KEYWORD
-            for p in parameters.values()
-        ), kind
+    assert not set(parameters) & knobs
+    assert all(
+        p.kind is not inspect.Parameter.VAR_KEYWORD for p in parameters.values()
+    )
 
 
 def test_session_apply_configures_a_learner(tiny_bundle):
@@ -76,7 +73,8 @@ def test_session_apply_configures_a_learner(tiny_bundle):
 
 
 def test_every_registry_kind_constructs(tiny_bundle):
-    """Every advertised kind — including progol/aleph-foil — takes context=."""
+    """Every advertised kind — including progol/aleph-foil — is built and
+    configured by the session."""
     schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
     with LearningSession(SessionConfig(parallelism=2)) as session:
         for kind in ("castor", "foil", "golem", "progolem", "progol", "aleph-foil"):
@@ -114,6 +112,22 @@ def test_repeat_sweeps_stay_warm(tiny_bundle):
         )
         assert session._instances == instances_after_first
         assert session._stores == stores_after_first
+
+
+def test_session_learner_learns_on_the_prepared_instance(tiny_bundle):
+    """``learn()`` hands the learner the session's prepared instance (here
+    ``sqlite`` with a pool of three); the learner converts nothing."""
+    variant = tiny_bundle.variant_names[0]
+    source = tiny_bundle.instance(variant)
+    seen = []
+    config = SessionConfig(backend="sqlite", parallelism=3)
+    with LearningSession(config) as session:
+        learner = session.learner("progolem", source.schema, progolem_parameters())
+        learner.wrapped.learn = lambda instance, examples: seen.append(instance)
+        learner.learn(source, tiny_bundle.examples)
+        assert seen == [session.prepare(source)]
+        assert seen[0] is not source and source.backend_name == "memory"
+        assert seen[0].backend.pool_size == 3
 
 
 def test_session_learner_registry(tiny_bundle):

@@ -11,7 +11,17 @@ from repro.database import DatabaseInstance, RelationSchema, Schema
 from repro.progolem.progolem import ProGolemLearner
 from repro.session import COVERAGE_STRATEGIES, SessionConfig
 
-BACKENDS = ["memory", "sqlite", "sqlite-sharded"]
+# Base settings of each backend case; ``sqlite-pool`` is ``sqlite`` sized
+# to a snapshot read pool by ``parallelism``.
+BACKENDS = {
+    "memory": {"backend": "memory"},
+    "sqlite": {"backend": "sqlite"},
+    "sqlite-pool": {"backend": "sqlite", "parallelism": 2},
+    "sqlite-sharded": {"backend": "sqlite-sharded"},
+}
+backend_matrix = pytest.mark.parametrize(
+    "base", list(BACKENDS.values()), ids=list(BACKENDS)
+)
 
 
 def schema() -> Schema:
@@ -21,39 +31,40 @@ def schema() -> Schema:
 # --------------------------------------------------------------------- #
 # Backend-matrix validation
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_shards_requires_a_sharded_backend(backend):
-    if backend == "sqlite-sharded":
-        assert SessionConfig(backend=backend, shards=2).shards == 2
+@backend_matrix
+def test_shards_requires_a_sharded_backend(base):
+    if base["backend"] == "sqlite-sharded":
+        assert SessionConfig(**base, shards=2).shards == 2
     else:
         with pytest.raises(ValueError, match="sqlite-sharded"):
-            SessionConfig(backend=backend, shards=2)
+            SessionConfig(**base, shards=2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parallelism_is_coherent_on_every_backend(backend):
+@backend_matrix
+def test_parallelism_is_coherent_on_every_backend(base):
     # On sqlite it sizes the snapshot read pool instead of being rejected.
-    assert SessionConfig(backend=backend, parallelism=2).parallelism == 2
+    config = SessionConfig(**base).merged(parallelism=3)
+    assert config.parallelism == 3 and config.backend == base["backend"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_topology_knobs_only_on_sharded_backends(backend):
-    if backend == "sqlite-sharded":
+@backend_matrix
+def test_topology_knobs_only_on_sharded_backends(base):
+    if base["backend"] == "sqlite-sharded":
         config = SessionConfig(
-            backend=backend, sharding_strategy="round-robin", transport="socket"
+            **base, sharding_strategy="round-robin", transport="socket"
         )
         assert config.sharding_strategy == "round-robin"
     else:
         with pytest.raises(ValueError, match="sqlite-sharded"):
-            SessionConfig(backend=backend, sharding_strategy="round-robin")
+            SessionConfig(**base, sharding_strategy="round-robin")
         with pytest.raises(ValueError, match="sqlite-sharded"):
-            SessionConfig(backend=backend, transport="socket")
+            SessionConfig(**base, transport="socket")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unset_knobs_are_always_coherent(backend):
+@backend_matrix
+def test_unset_knobs_are_always_coherent(base):
     # The knobless config is valid on every backend.
-    assert SessionConfig(backend=backend).backend == backend
+    assert SessionConfig(**base).backend == base["backend"]
 
 
 def test_unknown_backend_lists_the_registry():
@@ -139,6 +150,10 @@ class ConfigKnoblessLearner:
     pass
 
 
+class OtherConfigKnoblessLearner:
+    pass
+
+
 def test_apply_sets_knobs_the_learner_exposes():
     learner = ProGolemLearner(schema())
     config = SessionConfig(
@@ -158,6 +173,13 @@ def test_apply_warns_once_on_learners_without_the_knob():
         SessionConfig(parallelism=3).apply(ConfigKnoblessLearner())
 
 
+def test_apply_warns_again_for_a_different_learner_class():
+    with pytest.warns(RuntimeWarning, match="ConfigKnoblessLearner.*parallelism=7"):
+        SessionConfig(parallelism=7).apply(ConfigKnoblessLearner())
+    with pytest.warns(RuntimeWarning, match="OtherConfigKnoblessLearner.*parallelism=7"):
+        SessionConfig(parallelism=7).apply(OtherConfigKnoblessLearner())
+
+
 def test_apply_hands_out_the_saturation_store():
     from repro.database.sqlite_backend import SaturationStore
 
@@ -172,3 +194,14 @@ def test_apply_configures_instance_sharding():
     SessionConfig(backend="sqlite-sharded", shards=3).apply(instance=instance)
     assert instance.backend.shards == 3
     instance.backend.close()
+
+
+def test_apply_without_instance_leaves_learner_topology_alone():
+    """Backend and shards reach instances only (through ``prepare``); a
+    learner gets no topology attributes and no warning about them."""
+    learner = ProGolemLearner(schema())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SessionConfig(backend="sqlite-sharded", shards=3).apply(learner)
+    assert not hasattr(learner, "shards")
+    assert not hasattr(learner, "backend")
