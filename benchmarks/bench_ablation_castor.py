@@ -43,7 +43,7 @@ def test_ablation_coverage_cache(benchmark, uwcse_bundle):
                 bottom_clause=CastorBottomClauseConfig(max_depth=3, max_distinct_variables=15),
             ),
         )
-        coverage = learner.make_coverage_engine(instance)
+        coverage = learner.build_coverage_engine(instance)
         clause_learner = learner.make_clause_learner(instance, coverage)
         clause_learner.learn_clause(
             instance, uwcse_bundle.examples.positives, uwcse_bundle.examples.negatives

@@ -11,15 +11,15 @@ UW-CSE and HIV workloads:
   table per head signature across the batch, the ``sqlite-pool`` row
   (``sqlite`` at ``parallelism = --parallelism``, so with a snapshot read
   pool of that many connections) fans the clauses out over snapshots, and
-  ``sqlite-sharded`` fans the example axis over ``--shards`` worker
-  processes;
+  the ``sqlite-sharded`` row (``sqlite`` placed on a fleet of ``--shards``
+  worker processes) fans the example axis over those workers;
 * **subsumption coverage** — the Python θ-subsumption engine vs the compiled
   saturation-store path (one statement tests a clause against every
   example's saturation at once).
 
 The script asserts that every backend and every path covers **identical**
 example sets for every candidate clause (parity) — including the
-**cross-shard** check that the sharded backend answers identically at
+**cross-shard** check that the fleet answers identically at
 ``shards=1`` and ``--shards N``.  Run it standalone::
 
     PYTHONPATH=src python benchmarks/bench_backend_parity.py [--quick]
@@ -48,14 +48,15 @@ from repro.datasets import hiv, uwcse
 from repro.learning.coverage import (
     BatchCoverageEngine,
     QueryCoverageEngine,
-    make_coverage_engine,
+    SubsumptionCoverageEngine,
 )
 from repro.learning.examples import Example
 from repro.logic.clauses import HornClause
 from repro.obs import provenance, span as obs_span, tracer as obs_tracer
 
-#: Timed rows: backend names, plus ``sqlite-pool`` — sqlite with a
-#: snapshot read pool of ``--parallelism`` connections.
+#: Timed rows: the storage names, plus ``sqlite-pool`` — sqlite with a
+#: snapshot read pool of ``--parallelism`` connections — and
+#: ``sqlite-sharded`` — sqlite placed on a fleet of ``--shards`` workers.
 QUERY_BACKENDS = ("memory", "sqlite", "sqlite-pool", "sqlite-sharded")
 
 
@@ -64,7 +65,7 @@ def session_for(row: str, shards: int, parallelism: int) -> LearningSession:
     if row == "sqlite-pool":
         return LearningSession(backend="sqlite", parallelism=parallelism)
     if row == "sqlite-sharded":
-        return LearningSession(backend=row, shards=shards)
+        return LearningSession(backend="sqlite", shards=shards)
     return LearningSession(backend=row)
 
 
@@ -137,20 +138,20 @@ def time_subsumption(
     instance: DatabaseInstance,
     clauses: Sequence[HornClause],
     examples: Sequence[Example],
-    strategy: str,
+    compiled: bool,
     saturation_cache: Dict[Example, HornClause],
     saturation_store=None,
 ) -> Tuple[float, List[frozenset]]:
     """Wall time of subsumption coverage over all clauses (fresh engine).
 
     Saturations are shared between the compared engines (building them is
-    identical work for both paths).  For the compiled strategy, passing a
+    identical work for both paths).  For the compiled path, passing a
     pre-materialized ``saturation_store`` measures the warm steady state a
     learning run reaches after its first generation; without it the timing
     includes one-off store materialization.
     """
-    engine = make_coverage_engine(
-        instance, strategy=strategy, saturation_store=saturation_store
+    engine = SubsumptionCoverageEngine(
+        instance, compiled=compiled, saturation_store=saturation_store
     )
     engine._saturation_cache = saturation_cache
     start = time.perf_counter()
@@ -278,14 +279,14 @@ def run_workload(
 
     saturation_cache: Dict[Example, HornClause] = {}
     python_seconds, python_sets = time_subsumption(
-        base_instance, clauses, examples, "subsumption-python", saturation_cache
+        base_instance, clauses, examples, False, saturation_cache
     )
     shared_store = SaturationStore()
     compiled_cold_seconds, compiled_sets = time_subsumption(
         base_instance,
         clauses,
         examples,
-        "subsumption-compiled",
+        True,
         saturation_cache,
         saturation_store=shared_store,
     )
@@ -293,7 +294,7 @@ def run_workload(
         base_instance,
         clauses,
         examples,
-        "subsumption-compiled",
+        True,
         saturation_cache,
         saturation_store=shared_store,
     )
@@ -371,7 +372,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--shards",
         type=int,
         default=4,
-        help="worker-process count for the sqlite-sharded backend (default: 4)",
+        help="worker-process count of the sqlite-sharded row (default: 4)",
     )
     parser.add_argument(
         "--json",

@@ -339,6 +339,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--backend",
         default="sqlite-sharded",
         choices=("sqlite", "sqlite-sharded"),
+        help="sqlite in process, or sqlite placed on a fleet of --shards "
+        "workers (default)",
     )
     parser.add_argument(
         "--server", action="store_true",
@@ -378,7 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     variant = args.variant or bundle.variant_names[0]
 
     config = SessionConfig(
-        backend=args.backend,
+        backend="sqlite",
         shards=args.shards if args.backend == "sqlite-sharded" else None,
         parallelism=2,
     )

@@ -15,11 +15,14 @@ The package provides:
 * :mod:`repro.datasets` — synthetic UW-CSE, HIV, and IMDb datasets with the
   paper's schema variants;
 * :mod:`repro.distributed` — the sharded multi-process evaluation service
-  behind the ``"sqlite-sharded"`` backend, plus the persistent evaluation
-  server (``python -m repro.distributed.service --serve``); see
+  that ``sqlite`` storage is placed on with ``SessionConfig(shards=N)``,
+  plus the persistent evaluation server
+  (``python -m repro.distributed.service --serve``); see
   ``docs/distributed.md``;
-* :mod:`repro.session` — the unified front door: :class:`SessionConfig` +
-  :class:`LearningSession` own backend/service/store lifecycle (see
+* :mod:`repro.session` — the unified front door: :class:`SessionConfig`
+  picks storage (``memory``/``sqlite``) and placement (in process,
+  ``shards=N``, or a ``service_address=`` server), and
+  :class:`LearningSession` owns backend/service/store lifecycle (see
   ``docs/session.md``);
 * :mod:`repro.experiments` — drivers regenerating every table and figure of
   the paper's evaluation.

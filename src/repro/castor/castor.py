@@ -236,7 +236,7 @@ class CastorLearner(ProGolemLearner):
                 promoted.append(ind)
         return self.schema.with_constraints(inclusion_dependencies=promoted)
 
-    def make_coverage_engine(self, instance: DatabaseInstance) -> SubsumptionCoverageEngine:
+    def build_coverage_engine(self, instance: DatabaseInstance) -> SubsumptionCoverageEngine:
         self._working_schema = self.working_schema_for(instance)
         config = self.parameters.bottom_clause
         if not isinstance(config, CastorBottomClauseConfig):
@@ -247,7 +247,6 @@ class CastorLearner(ProGolemLearner):
             self._working_schema,
             config,
             threads=self.threads,
-            compiled=self.compiled_coverage,
             saturation_store=self.saturation_store,
         )
 

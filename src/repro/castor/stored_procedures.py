@@ -13,7 +13,7 @@ the builders ride it.
   compiled once per schema, frontier expansion goes through the compiled
   backend capability, and whole example batches are saturated in one
   :class:`~repro.learning.bottom_clause.BatchSaturationEngine` call (fanned
-  across the shard workers on ``"sqlite-sharded"``).
+  across the shard workers when ``sqlite`` is placed on a fleet).
 * **Without stored procedures** the runner re-derives the schema metadata for
   every example and issues one client-side ``tuples_containing`` round-trip
   per frontier constant — the tuple-at-a-time client path the paper's
@@ -47,11 +47,8 @@ class StoredProcedureRunner:
         schema: Optional[Schema] = None,
         config: Optional[CastorBottomClauseConfig] = None,
         use_stored_procedures: bool = True,
-        backend: Optional[str] = None,
         parallelism: int = 1,
     ):
-        if backend is not None and backend != instance.backend_name:
-            instance = instance.with_backend(backend)
         self.instance = instance
         self.schema = schema or instance.schema
         self.config = config or CastorBottomClauseConfig()
@@ -120,7 +117,6 @@ def compare_stored_procedure_modes(
     examples: Sequence[Example],
     schema: Optional[Schema] = None,
     config: Optional[CastorBottomClauseConfig] = None,
-    backend: Optional[str] = None,
     parallelism: int = 1,
 ) -> Dict[str, float]:
     """Run the same workload with and without stored procedures (Table 13)."""
@@ -129,7 +125,6 @@ def compare_stored_procedure_modes(
         schema,
         config,
         use_stored_procedures=True,
-        backend=backend,
         parallelism=parallelism,
     ).timed_run(examples)
     without_sp = StoredProcedureRunner(
@@ -137,7 +132,6 @@ def compare_stored_procedure_modes(
         schema,
         config,
         use_stored_procedures=False,
-        backend=backend,
         parallelism=parallelism,
     ).timed_run(examples)
     speedup = (

@@ -10,13 +10,18 @@ substrate swappable:
 * :class:`Backend` — the per-instance factory that creates relation stores
   and may additionally expose *set-at-a-time* query evaluation (see
   :mod:`repro.database.sqlite_backend`);
-* a name registry so callers can select a backend with a plain string
-  (``"memory"``, ``"sqlite"``, the multi-process ``"sqlite-sharded"``, or
-  the persistent-server ``"sqlite-remote"``), e.g.
-  ``DatabaseInstance(schema, backend="sqlite")`` or an experiment-harness
-  ``--backend`` knob.  A ``sqlite`` backend with a snapshot read pool is
-  built by :class:`~repro.session.session.LearningSession` when its
-  ``parallelism`` exceeds 1.
+* a name registry so callers can select a backend's *storage* with a plain
+  string (``"memory"`` or ``"sqlite"``), e.g.
+  ``DatabaseInstance(schema, backend="sqlite")``.
+
+Where ``sqlite`` evaluation runs — in process (with a snapshot read pool
+when ``parallelism`` exceeds 1), on a local fleet of ``shards`` worker
+processes, or on a persistent server at ``service_address`` — is the
+*placement*, chosen by :class:`~repro.session.session.LearningSession`
+from its config.  Placed backends report the storage name ``sqlite``;
+the placement shows in their type
+(:class:`~repro.distributed.backend.ShardedSQLiteBackend`,
+:class:`~repro.distributed.client.RemoteBackend`).
 
 The dict-based :class:`~repro.database.instance.RelationInstance` is the
 ``memory`` backend's relation store; it remains the default.
@@ -275,21 +280,5 @@ def _sqlite_factory() -> Backend:
     return SQLiteBackend()
 
 
-def _sqlite_sharded_factory() -> Backend:
-    from ..distributed.backend import ShardedSQLiteBackend
-
-    return ShardedSQLiteBackend()
-
-
-def _sqlite_remote_factory() -> Backend:
-    # Unconfigured until ``configure_remote``/``LearningSession.connect``
-    # binds it to a persistent evaluation server; storage works regardless.
-    from ..distributed.client import RemoteBackend
-
-    return RemoteBackend()
-
-
 register_backend("memory", MemoryBackend)
 register_backend("sqlite", _sqlite_factory)
-register_backend("sqlite-sharded", _sqlite_sharded_factory)
-register_backend("sqlite-remote", _sqlite_remote_factory)

@@ -1140,8 +1140,8 @@ class SaturationStore:
     ) -> Optional[int]:
         """The id of an already-materialized example, or ``None``.
 
-        Lets engines sharing a store (cross-validation folds, the harness
-        presaturation pass) claim stored saturations without rebuilding
+        Lets engines sharing a store (cross-validation folds, repeat runs,
+        a ``materialize`` warm-up) claim stored saturations without rebuilding
         them — the same dedup key :meth:`add_example` uses.
         """
         try:

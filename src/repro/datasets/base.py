@@ -54,14 +54,11 @@ class DatasetBundle:
         examples: ExampleSet,
         variants: Sequence[SchemaVariant],
         target: str,
-        backend: str = "memory",
     ):
         self.name = str(name)
         self.base_instance = base_instance
         self.examples = examples
         self.target = str(target)
-        # Storage/evaluation backend variant instances are materialized on.
-        self.backend = str(backend)
         self._variants: Dict[str, SchemaVariant] = {v.name: v for v in variants}
         self._materialized: Dict[str, DatabaseInstance] = {}
 
@@ -84,38 +81,19 @@ class DatasetBundle:
     def instance(self, variant_name: str) -> DatabaseInstance:
         """The dataset instance under the named schema variant (cached).
 
-        Schema transformations are applied in memory; the result is then
-        re-materialized on the bundle's configured backend when it differs.
+        Schema transformations are applied in memory; a
+        :class:`~repro.session.session.LearningSession` moves the result
+        onto its configured backend (``session.prepare``).
         """
         cached = self._materialized.get(variant_name)
         if cached is None:
             cached = self.variant(variant_name).materialize(self.base_instance)
-            if cached.backend_name != self.backend:
-                cached = cached.with_backend(self.backend)
             self._materialized[variant_name] = cached
         return cached
 
-    def with_backend(self, backend: str) -> "DatasetBundle":
-        """A view of the same dataset materializing instances on ``backend``."""
-        if backend == self.backend:
-            return self
-        return DatasetBundle(
-            self.name,
-            self.base_instance,
-            self.examples,
-            list(self._variants.values()),
-            self.target,
-            backend=backend,
-        )
-
     def close(self) -> None:
-        """Close the backends of every materialized variant instance.
-
-        Backends with worker fleets or connection pools (pooled `sqlite`,
-        `sqlite-sharded`) hold real OS resources; owners of a converted
-        bundle (e.g. a `LearningSession`) call this instead of waiting for
-        the garbage collector.  Instances re-materialize lazily afterwards.
-        """
+        """Drop the materialized variant instances, closing any backend
+        that holds OS resources.  Instances re-materialize lazily."""
         for instance in self._materialized.values():
             close = getattr(instance.backend, "close", None)
             if close is not None:

@@ -244,29 +244,19 @@ def generate_examples(
     return ExampleSet(TARGET, list(active_compounds), negatives)
 
 
-def load(
-    config: Optional[HivConfig] = None, seed: int = 0, backend: str = "memory"
-) -> DatasetBundle:
+def load(config: Optional[HivConfig] = None, seed: int = 0) -> DatasetBundle:
     """Generate the full HIV bundle (instance, examples, schema variants)."""
     config = config or HivConfig()
     instance, active_compounds = generate_instance(config, seed)
     examples = generate_examples(active_compounds, instance, config, seed)
-    return DatasetBundle(
-        "hiv", instance, examples, schema_variants(), TARGET, backend=backend
-    )
+    return DatasetBundle("hiv", instance, examples, schema_variants(), TARGET)
 
 
-def load_small(seed: int = 0, backend: str = "memory") -> DatasetBundle:
+def load_small(seed: int = 0) -> DatasetBundle:
     """The HIV-2K4K stand-in: a smaller molecule set for fast experiments."""
-    return load(
-        HivConfig(num_compounds=60, min_atoms=3, max_atoms=6), seed=seed, backend=backend
-    )
+    return load(HivConfig(num_compounds=60, min_atoms=3, max_atoms=6), seed=seed)
 
 
-def load_large(seed: int = 0, backend: str = "memory") -> DatasetBundle:
+def load_large(seed: int = 0) -> DatasetBundle:
     """The HIV-Large stand-in: more compounds and larger molecules."""
-    return load(
-        HivConfig(num_compounds=240, min_atoms=5, max_atoms=10),
-        seed=seed,
-        backend=backend,
-    )
+    return load(HivConfig(num_compounds=240, min_atoms=5, max_atoms=10), seed=seed)

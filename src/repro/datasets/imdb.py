@@ -310,13 +310,9 @@ def generate_examples(
     return ExampleSet(TARGET, list(drama_directors), negatives)
 
 
-def load(
-    config: Optional[ImdbConfig] = None, seed: int = 0, backend: str = "memory"
-) -> DatasetBundle:
+def load(config: Optional[ImdbConfig] = None, seed: int = 0) -> DatasetBundle:
     """Generate the full IMDb bundle (instance, examples, schema variants)."""
     config = config or ImdbConfig()
     instance, drama_directors = generate_instance(config, seed)
     examples = generate_examples(drama_directors, instance, config, seed)
-    return DatasetBundle(
-        "imdb", instance, examples, schema_variants(), TARGET, backend=backend
-    )
+    return DatasetBundle("imdb", instance, examples, schema_variants(), TARGET)

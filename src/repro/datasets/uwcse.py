@@ -260,13 +260,9 @@ def generate_examples(
     return ExampleSet(TARGET, advised_pairs, negatives)
 
 
-def load(
-    config: Optional[UwCseConfig] = None, seed: int = 0, backend: str = "memory"
-) -> DatasetBundle:
+def load(config: Optional[UwCseConfig] = None, seed: int = 0) -> DatasetBundle:
     """Generate the full UW-CSE bundle (instance, examples, schema variants)."""
     config = config or UwCseConfig()
     instance, advised_pairs = generate_instance(config, seed)
     examples = generate_examples(advised_pairs, instance, config, seed)
-    return DatasetBundle(
-        "uwcse", instance, examples, schema_variants(), TARGET, backend=backend
-    )
+    return DatasetBundle("uwcse", instance, examples, schema_variants(), TARGET)

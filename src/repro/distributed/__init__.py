@@ -9,7 +9,9 @@ Public surface:
 
 * :class:`EvaluationService` — the coordinator (sticky sharding, fan-out,
   bitset merge, worker lifecycle);
-* :class:`ShardedSQLiteBackend` — the ``"sqlite-sharded"`` registry backend;
+* :class:`ShardedSQLiteBackend` / :class:`RemoteBackend` — ``sqlite``
+  storage placed on a local fleet (``shards=N``) or a persistent server
+  (``service_address=``);
 * :class:`ShardFailedError` / :class:`WorkerError` — failure surface;
 * :func:`partition_keys` / :class:`ShardAssigner` — sharding strategies;
 * the :mod:`~repro.distributed.protocol` framing and

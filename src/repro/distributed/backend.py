@@ -1,10 +1,12 @@
-"""The ``sqlite-sharded`` backend: storage here, batched evaluation out there.
+"""Sharded placement of ``sqlite`` storage: batched evaluation on a fleet.
 
-:class:`ShardedSQLiteBackend` is a drop-in registry backend
-(``DatabaseInstance(schema, backend="sqlite-sharded")``): storage, single
-statement evaluation, and the snapshot read pool are inherited unchanged
-from :class:`~repro.database.sqlite_backend.SQLiteBackend`.  What
-changes is *batched* coverage: the backend lazily owns an
+:class:`ShardedSQLiteBackend` is ``sqlite`` storage placed on a local
+worker fleet — a :class:`~repro.session.session.LearningSession` builds
+one for ``SessionConfig(backend="sqlite", shards=N)``, and its ``name``
+stays ``"sqlite"``.  Storage, single-statement evaluation, and the
+snapshot read pool are inherited unchanged from
+:class:`~repro.database.sqlite_backend.SQLiteBackend`.  What changes is
+*batched* coverage: the backend lazily owns an
 :class:`~repro.distributed.service.EvaluationService` and routes
 
 * ``covered_head_tuples_batch`` (query-based coverage of a candidate set)
@@ -23,6 +25,9 @@ Python engine below ``COMPILED_MIN_EXAMPLES`` examples, so a
 budget-exhausting clause on a tiny batch can be decided exactly here but
 conservatively "uncovered" there (see ``docs/backends.md``).
 
+The fleet's topology (shards, strategy, transport) is fixed at
+construction.
+
 Mutations keep going to the primary connection; the service watches the
 backend's data-version token and reloads the workers before the next batch
 whenever relation contents changed.
@@ -37,8 +42,8 @@ from ..database.delta import Delta
 from ..database.schema import Schema
 from ..database.sqlite_backend import SQLiteBackend, default_pool_size
 from ..logic.clauses import HornClause
-from .service import TRANSPORTS, EvaluationService, default_shard_count
-from .sharding import DEFAULT_STRATEGY, SHARDING_STRATEGIES
+from .service import EvaluationService, default_shard_count
+from .sharding import DEFAULT_STRATEGY
 from .worker import InstancePayload
 
 Row = Tuple[object, ...]
@@ -51,7 +56,7 @@ def _close_service(service: EvaluationService) -> None:
 class ShardedSQLiteBackend(SQLiteBackend):
     """Pooled SQLite storage plus a sharded multi-process evaluation service."""
 
-    name = "sqlite-sharded"
+    name = "sqlite"
 
     #: Mutation-log caps: beyond this many change records — or this many
     #: total logged rows, whichever trips first — the log's floor advances
@@ -215,51 +220,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
             backend=self.worker_backend,
             pool_size=self.worker_pool_size,
         )
-
-    def configure_sharding(
-        self,
-        shards: Optional[int] = None,
-        strategy: Optional[str] = None,
-        transport: Optional[str] = None,
-    ) -> None:
-        """Re-shape the service (harness/benchmark ``shards=`` knob).
-
-        When the requested topology differs from the current one, a running
-        service is shut down and respawned lazily on the next batch.
-        Re-applying the current settings is a no-op, so learners that call
-        this at the top of every ``learn()`` (e.g. one call per
-        cross-validation fold) keep their warm workers and saturation
-        stores instead of respawning the fleet each time.
-        """
-        # Validate everything before touching any state: a typo must not
-        # leave the config half-applied or tear down a warm fleet.
-        if shards is not None and int(shards) < 1:
-            raise ValueError(f"need at least one shard, got {shards}")
-        if strategy is not None and strategy not in SHARDING_STRATEGIES:
-            raise ValueError(
-                f"unknown sharding strategy {strategy!r}; "
-                f"available: {list(SHARDING_STRATEGIES)}"
-            )
-        if transport is not None and transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; available: {list(TRANSPORTS)}"
-            )
-        changed = False
-        if shards is not None:
-            changed |= self.shards != int(shards)
-            self.shards = int(shards)
-        if strategy is not None:
-            changed |= self.strategy != str(strategy)
-            self.strategy = str(strategy)
-        if transport is not None:
-            changed |= self.transport != str(transport)
-            self.transport = str(transport)
-        if changed and self._service is not None:
-            if self._service_finalizer is not None:
-                self._service_finalizer.detach()
-                self._service_finalizer = None
-            self._service.close()
-            self._service = None
 
     def coverage_service(self) -> EvaluationService:
         """The lazily-started evaluation service behind this backend."""

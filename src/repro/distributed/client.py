@@ -16,8 +16,8 @@ Three layers, each usable on its own:
   not already hold that exact version — so a repeat run over unchanged data
   costs one small register round-trip instead of a full payload ship
   (``reloads_full`` stays 0).
-* :class:`RemoteBackend` — the ``"sqlite-remote"`` registry backend:
-  pooled SQLite storage locally (mutations, direct queries, fallbacks all
+* :class:`RemoteBackend` — ``sqlite`` storage placed on a persistent
+  server (its ``name`` stays ``"sqlite"``): pooled SQLite storage locally (mutations, direct queries, fallbacks all
   work offline) while every *batched* evaluation routes to the server
   through the same ``coverage_service()`` seam the sharded backend uses.
 """
@@ -527,7 +527,8 @@ class RemoteEvaluationService:
 
 
 class RemoteBackend(ShardedSQLiteBackend):
-    """``"sqlite-remote"``: local pooled storage, server-side evaluation.
+    """``sqlite`` on a persistent server: local pooled storage,
+    server-side evaluation.
 
     Inherits storage, compiled single-statement evaluation, the snapshot
     read pool, and payload assembly from the sharded backend — but instead
@@ -538,7 +539,7 @@ class RemoteBackend(ShardedSQLiteBackend):
     backend works offline for everything except batched coverage.
     """
 
-    name = "sqlite-remote"
+    name = "sqlite"
 
     def __init__(
         self,
@@ -585,27 +586,12 @@ class RemoteBackend(ShardedSQLiteBackend):
         if request_timeout is not None:
             self._request_timeout = float(request_timeout)
 
-    def configure_sharding(
-        self,
-        shards: Optional[int] = None,
-        strategy: Optional[str] = None,
-        transport: Optional[str] = None,
-    ) -> None:
-        """The worker fleet lives on the server; its topology is fixed there."""
-        if shards is None and strategy is None and transport is None:
-            return
-        warn_once(
-            "the 'sqlite-remote' backend evaluates on a persistent server "
-            "whose shard topology is fixed at server start; ignoring "
-            f"shards={shards}"
-        )
-
     def coverage_service(self) -> RemoteEvaluationService:
         if self._remote is None:
             if self._client is None:
                 if self._address is None:
                     raise RuntimeError(
-                        "the 'sqlite-remote' backend has no server to talk "
+                        "this RemoteBackend has no server to talk "
                         "to; call configure_remote(address='HOST:PORT') or "
                         "build the instance through "
                         "LearningSession.connect(address)"

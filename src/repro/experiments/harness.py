@@ -106,11 +106,7 @@ def run_variant(
     call opens (and closes) a default ``LearningSession()``.  With the
     config's ``reuse_saturation_store`` (default), learners with compiled
     subsumption coverage share one warm :class:`SaturationStore` across the
-    folds of this variant; fold results are identical either way.  Its
-    ``presaturate`` additionally materializes every example's saturation
-    into that shared store *before* the folds run — one batched call
-    (sharded backends fan it across their worker fleet), excluded from the
-    per-fold learning times.
+    folds of this variant; fold results are identical either way.
     """
     owns_session = session is None
     session = session or LearningSession()
@@ -127,9 +123,6 @@ def run_variant(
                 # configured learners never do.
                 learner.saturation_store = supplier(learner)
             return learner
-
-        if session.config.presaturate:
-            session.presaturate(factory(), instance, bundle.examples)
 
         if folds <= 1:
             learner = factory()
@@ -188,11 +181,6 @@ def run_schema_sweep(
     session = session or LearningSession()
     try:
         variants = list(variants or bundle.variant_names)
-        # Convert once up front (and once per *session*, not per call): the
-        # converted bundle caches the re-materialized instance per variant,
-        # so repeat sweeps on one session land on the same instances, warm
-        # fleets, and stores.
-        bundle = session.prepare_bundle(bundle)
         results: List[VariantResult] = []
         for learner_spec in learner_specs:
             for variant_name in variants:
@@ -247,7 +235,6 @@ def check_schema_independence(
     bundle,
     learner_spec: LearnerSpec,
     variants: Optional[Sequence[str]] = None,
-    seed: int = 0,
     session: Optional[LearningSession] = None,
 ) -> SchemaIndependenceReport:
     """Learn on every variant with the full training data and compare outputs.
@@ -256,12 +243,10 @@ def check_schema_independence(
     own variant's instance and the result relations are compared across
     variants (Definition 3.10 instantiated on the actual data).
     """
-    del seed  # accepted for signature compatibility; learning is seeded by parameters
     owns_session = session is None
     session = session or LearningSession()
     try:
         variants = list(variants or bundle.variant_names)
-        bundle = session.prepare_bundle(bundle)
         definitions: Dict[str, HornDefinition] = {}
         results: Dict[str, frozenset] = {}
         for variant_name in variants:
@@ -273,11 +258,7 @@ def check_schema_independence(
                 if hasattr(learner, "saturation_store")
                 else None
             )
-            session.apply(learner, instance=instance, saturation_store=store)
-            if session.config.presaturate:
-                # Honored here like in run_variant: an explicit setting is
-                # never silently ignored (warn paths live in presaturate).
-                session.presaturate(learner, instance, bundle.examples)
+            session.apply(learner, saturation_store=store)
             definition = learner.learn(instance, bundle.examples)
             definitions[variant_name] = definition
             results[variant_name] = frozenset(

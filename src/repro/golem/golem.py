@@ -183,7 +183,6 @@ class GolemLearner(EvaluationKnobs, ThreadsAsParallelism):
             instance,
             self.parameters.bottom_clause,
             threads=self.threads,
-            compiled=self.compiled_coverage,
             saturation_store=self.saturation_store,
         )
         clause_learner = _GolemClauseLearner(self.parameters, coverage)

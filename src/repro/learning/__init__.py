@@ -12,7 +12,6 @@ from .coverage import (
     CoverageResult,
     QueryCoverageEngine,
     SubsumptionCoverageEngine,
-    make_coverage_engine,
 )
 from .covering import ClauseLearner, CoveringLearner, CoveringParameters
 from .evaluation import (
@@ -50,6 +49,5 @@ __all__ = [
     "cross_validate",
     "evaluate_definition",
     "examples_from_instance",
-    "make_coverage_engine",
     "sample_closed_world_negatives",
 ]

@@ -434,7 +434,7 @@ class BatchSaturationEngine:
     subclass) and answers batch requests:
 
     * when the builder's instance lives on a backend exposing a sharded
-      evaluation service (``"sqlite-sharded"``) and the builder publishes a
+      evaluation service (``sqlite`` placed on ``shards``) and the builder publishes a
       ``saturation_spec``, the batch is fanned out across the shard workers
       along the example axis (the same sticky assignment coverage uses, so
       each example is saturated on the worker that owns it) and the

@@ -405,8 +405,8 @@ class SubsumptionCoverageEngine:
             if not pending:
                 return
             # Claim saturations another engine already materialized into
-            # this (possibly shared) store — a previous fold, the harness
-            # presaturation pass — without rebuilding them; add_example
+            # this (possibly shared) store — a previous fold, a
+            # ``materialize`` warm-up — without rebuilding them; add_example
             # would dedup on the same key anyway, but only after paying for
             # construction.
             remaining: List[Example] = []
@@ -717,7 +717,7 @@ class BatchCoverageEngine:
     time, never which examples a clause covers.
 
     When the engine's instance lives on a backend exposing a sharded
-    evaluation service (``"sqlite-sharded"``) and the engine publishes a
+    evaluation service (``sqlite`` placed on ``shards``) and the engine publishes a
     ``shard_spec``, the whole batch is fanned out across the shard workers
     along the example axis and the per-shard coverage bitsets are merged
     back into input order — same results, N processes.
@@ -830,49 +830,3 @@ class BatchCoverageEngine:
         if repair is None:
             return set()
         return repair(delta)
-
-
-def make_coverage_engine(
-    instance: DatabaseInstance,
-    strategy: str = "subsumption",
-    saturation_config: Optional[BottomClauseConfig] = None,
-    threads: int = 1,
-    backend: Optional[str] = None,
-    saturation_store: Optional[SaturationStore] = None,
-):
-    """Build a coverage engine, optionally re-materializing on another backend.
-
-    ``strategy`` selects subsumption (Castor/ProGolem, with
-    ``"subsumption-compiled"`` forcing the SQL saturation-store path and
-    ``"subsumption-python"`` forcing the pure-Python engine) or query
-    (join-based) coverage; ``backend`` converts the instance first when it
-    differs from the instance's current backend (the ``--backend`` knob of
-    the experiment harness and benchmarks).
-    """
-    if backend is not None and backend != instance.backend_name:
-        instance = instance.with_backend(backend)
-    if strategy == "subsumption":
-        return SubsumptionCoverageEngine(
-            instance,
-            saturation_config,
-            threads=threads,
-            saturation_store=saturation_store,
-        )
-    if strategy == "subsumption-compiled":
-        return SubsumptionCoverageEngine(
-            instance,
-            saturation_config,
-            threads=threads,
-            compiled=True,
-            saturation_store=saturation_store,
-        )
-    if strategy == "subsumption-python":
-        return SubsumptionCoverageEngine(
-            instance, saturation_config, threads=threads, compiled=False
-        )
-    if strategy == "query":
-        return QueryCoverageEngine(instance)
-    raise ValueError(
-        f"unknown coverage strategy {strategy!r}; expected 'subsumption', "
-        "'subsumption-compiled', 'subsumption-python', or 'query'"
-    )

@@ -9,23 +9,20 @@ definition: they only move work.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 
 class EvaluationKnobs:
-    """Mixin: the shared saturation store and compiled-subsumption override.
+    """Mixin: the shared saturation store.
 
     Learners whose engines have no saturations (FOIL's query coverage) do
-    not inherit it — phantom store/compiled attributes would make
-    ``SessionConfig.apply`` silently accept settings they cannot honor.
+    not inherit it — a phantom store attribute would make
+    ``SessionConfig.apply`` silently accept a setting they cannot honor.
     """
 
     #: Optional shared SaturationStore for the compiled coverage path
     #: (sessions hand one out so repeated runs start warm).
     saturation_store: Any = None
-    #: True/False force the SQL/Python decision procedure; None keeps the
-    #: engine's backend-based default.
-    compiled_coverage: Optional[bool] = None
 
 
 class ThreadsAsParallelism:

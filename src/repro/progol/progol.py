@@ -182,7 +182,6 @@ class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
             instance,
             self.parameters.bottom_clause,
             threads=self.threads,
-            compiled=self.compiled_coverage,
             saturation_store=self.saturation_store,
         )
         clause_learner = _ProgolClauseLearner(self.schema, self.parameters, coverage)

@@ -282,13 +282,12 @@ class ProGolemLearner(EvaluationKnobs):
     def parallelism(self, value: int) -> None:
         self.parameters.parallelism = max(1, int(value))
 
-    def make_coverage_engine(self, instance: DatabaseInstance) -> SubsumptionCoverageEngine:
+    def build_coverage_engine(self, instance: DatabaseInstance) -> SubsumptionCoverageEngine:
         """Build the coverage engine (overridden by Castor to add IND awareness)."""
         return SubsumptionCoverageEngine(
             instance,
             self.parameters.bottom_clause,
             threads=self.threads,
-            compiled=self.compiled_coverage,
             saturation_store=self.saturation_store,
         )
 
@@ -298,7 +297,7 @@ class ProGolemLearner(EvaluationKnobs):
         return self.clause_learner_class(self.schema, self.parameters, coverage)
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
-        coverage = self.make_coverage_engine(instance)
+        coverage = self.build_coverage_engine(instance)
         clause_learner = self.make_clause_learner(instance, coverage)
         covering = CoveringLearner(
             clause_learner,

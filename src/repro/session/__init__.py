@@ -1,9 +1,9 @@
 """Unified session API: one validated config, one owner for every resource.
 
-* :class:`SessionConfig` — backend, parallelism, shards, coverage strategy,
-  and saturation policy in one validated dataclass (replaces the ``backend=``
-  / ``parallelism=`` / ``shards=`` / ``saturation_store=`` / ``presaturate=``
-  knob soup);
+* :class:`SessionConfig` — storage (``memory``/``sqlite``), placement
+  (in process, ``shards=N`` local workers, or a ``service_address=``
+  server), parallelism and saturation-store sharing in one validated
+  dataclass;
 * :class:`LearningSession` — owns backend + evaluation-service +
   saturation-store lifecycle, hands out learners
   (``session.learner("castor", schema, params)``) and drives the experiment
@@ -12,14 +12,13 @@
   (``python -m repro.distributed.service --serve HOST:PORT``) whose warm
   worker fleets outlive individual learning runs.
 
-See ``docs/session.md`` for the tour and the old-kwarg migration table.
+See ``docs/session.md`` for the tour.
 """
 
-from .config import COVERAGE_STRATEGIES, SessionConfig
+from .config import SessionConfig
 from .session import LearningSession, SessionLearner, connect
 
 __all__ = [
-    "COVERAGE_STRATEGIES",
     "LearningSession",
     "SessionConfig",
     "SessionLearner",

@@ -36,11 +36,12 @@ import threading
 import weakref
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+from ..database.backend import create_backend
 from ..database.delta import Delta
 from ..database.instance import DatabaseInstance
 from ..database.sqlite_backend import SaturationStore, SQLiteBackend
 from ..obs import registry as obs_registry, span as obs_span, tracer as obs_tracer
-from .config import SessionConfig, warn_once
+from .config import SessionConfig
 
 if TYPE_CHECKING:  # resolved lazily at runtime; annotations only
     from ..distributed.client import ServiceClient
@@ -81,7 +82,7 @@ def _resolve_kind(kind: str) -> type:
 
 class SessionLearner:
     """A learner bound to its session: ``learn()`` rides the session's
-    prepared instances, shared stores, and presaturation policy.
+    prepared instances and shared stores.
 
     Everything else (parameters, name, knobs) delegates to the wrapped
     learner, so the wrapper stays invisible to code that inspects it.
@@ -106,9 +107,7 @@ class SessionLearner:
             if hasattr(self._learner, "saturation_store")
             else None
         )
-        session.apply(self._learner, instance=prepared, saturation_store=store)
-        if session.config.presaturate:
-            session.presaturate(self._learner, prepared, examples)
+        session.apply(self._learner, saturation_store=store)
         return self._learner.learn(prepared, examples)
 
     def __getattr__(self, name: str) -> Any:
@@ -139,18 +138,16 @@ class _SessionResources:
 
     def __init__(self) -> None:
         self.backends: List[object] = []
-        self.bundles: List[object] = []
         self.client = None
 
     def close(self) -> None:
         # Best-effort per resource: one failing fleet teardown must not
         # leak every remaining fleet and the server connection (this runs
         # once — from close() or the finalizer — so nothing retries).
-        bundles, self.bundles = self.bundles, []
         backends, self.backends = self.backends, []
         first_error = None
-        for resource in bundles + backends:
-            close = getattr(resource, "close", None)
+        for backend in backends:
+            close = getattr(backend, "close", None)
             if close is None:
                 continue
             try:
@@ -185,10 +182,6 @@ class LearningSession:
             int,
             Tuple[DatabaseInstance, DatabaseInstance, object, Optional[object]],
         ] = {}
-        # id(source bundle) -> (source, converted) — same pinning trick, so
-        # repeated sweeps over one bundle reuse one converted bundle (and
-        # therefore one set of materialized instances and warm stores).
-        self._bundles: Dict[int, Tuple[object, object]] = {}
         self._stores: Dict[object, SaturationStore] = {}
         self._closed = False
         self._resources = _SessionResources()
@@ -248,15 +241,19 @@ class LearningSession:
     # Instances and stores
     # ------------------------------------------------------------------ #
     def prepare(self, instance: DatabaseInstance) -> DatabaseInstance:
-        """The instance on this session's backend (cached per source).
+        """The instance on this session's storage × placement (cached per
+        source).
 
-        Local sessions convert onto ``config.backend`` (once — repeated
-        runs over the same source instance reuse the converted one and its
-        warm evaluation service); ``sqlite`` gets a snapshot read pool of
-        ``parallelism`` connections when that exceeds 1.  Remote sessions
-        re-materialize onto a ``"sqlite-remote"`` backend bound to the
-        session's server connection.  Either way the full sharding
-        topology is (re)applied.
+        The instance is converted once — repeated runs over the same source
+        instance reuse the converted one and its warm evaluation service —
+        onto ``config.backend``'s storage, placed by the config:
+
+        * ``service_address`` — a :class:`~repro.distributed.client.RemoteBackend`
+          bound to the session's server connection;
+        * ``shards=N`` — a :class:`~repro.distributed.backend.ShardedSQLiteBackend`
+          with a local fleet of N workers;
+        * neither — in process; ``sqlite`` gets a snapshot read pool of
+          ``parallelism`` connections when that exceeds 1.
 
         The cache watches the source's :meth:`~DatabaseInstance.data_token`:
         a mutation between runs re-converts the instance and drops its
@@ -280,9 +277,7 @@ class LearningSession:
                 # warns once (it forces the wholesale re-conversion above);
                 # transaction()/update() mutations are patched in place.
                 prepared.mark_managed()
-            prepared = entry[1]
-            self.config.apply(instance=prepared)
-            return prepared
+            return entry[1]
 
     def _invalidate_locked(
         self,
@@ -319,6 +314,18 @@ class LearningSession:
         self, instance: DatabaseInstance
     ) -> Tuple[DatabaseInstance, Optional[object]]:
         """Convert onto the session backend; returns (prepared, owned backend)."""
+        backend = self._placed_backend(instance)
+        if backend is None:
+            return instance, None
+        prepared = instance.with_backend(backend)
+        self._resources.backends.append(backend)
+        return prepared, backend
+
+    def _placed_backend(self, instance: DatabaseInstance) -> Optional[Any]:
+        """A fresh backend for the config's storage × placement, or ``None``
+        when ``instance`` already sits on one (or no backend is set)."""
+        config = self.config
+        current = instance.backend
         client = self._resources.client
         if client is not None:
             from ..distributed.client import RemoteBackend
@@ -327,68 +334,25 @@ class LearningSession:
             # registration time, so distinct instances under one named
             # namespace never collide (and never depend on preparation
             # order).
-            backend = RemoteBackend(
-                client=client, handle=self.config.instance_handle
-            )
-            prepared = instance.with_backend(backend)
-            self._resources.backends.append(backend)
-            return prepared, backend
-        backend = self.config.backend
-        pool_size = self._pool_size()
-        if backend is None or (
-            backend == instance.backend_name
-            # ``sqlite`` with another pool size is another backend.
-            and (
-                backend != "sqlite"
-                or getattr(instance.backend, "pool_size", None) == pool_size
-            )
-        ):
-            return instance, None
-        # The pool size is fixed at construction (a pooled primary
-        # connection is opened without check_same_thread).
-        prepared = instance.with_backend(
-            backend if pool_size is None else SQLiteBackend(pool_size=pool_size)
-        )
-        self._resources.backends.append(prepared.backend)
-        return prepared, prepared.backend
+            return RemoteBackend(client=client, handle=config.instance_handle)
+        if config.shards is not None:
+            from ..distributed.backend import ShardedSQLiteBackend
 
-    def _pool_size(self) -> Optional[int]:
-        """The ``sqlite`` snapshot read pool: ``parallelism`` connections
-        when that exceeds 1, else ``None`` (the single connection)."""
-        parallelism = self.config.parallelism or 1
-        if self.config.backend == "sqlite" and parallelism > 1:
-            return parallelism
-        return None
-
-    def prepare_bundle(self, bundle: Any) -> Any:
-        """The bundle converted onto this session's backend (cached).
-
-        ``DatasetBundle.with_backend`` returns a *fresh* bundle with an
-        empty per-variant instance cache, so converting on every harness
-        call would make repeat sweeps fully cold (and grow the session's
-        id-keyed caches without bound).  Caching the conversion per source
-        bundle keeps the variant instances — and everything keyed on their
-        identity: prepared instances, warm fleets, saturation stores —
-        stable across calls.
-        """
-        self._ensure_open()
-        backend = self.config.backend
-        if backend is None or self.is_remote or self._pool_size() is not None:
-            # Remote and pooled sessions (and backend-less ones) convert per
-            # instance in prepare(); the bundle itself is reused as-is.
-            return bundle
-        with self._lock:
-            key = id(bundle)
-            entry = self._bundles.get(key)
-            if entry is None:
-                converted = bundle.with_backend(backend)
-                if converted is not bundle:
-                    # Converted bundles own their variants' backends
-                    # (worker fleets included); an unconverted bundle is
-                    # the caller's and stays untouched at close().
-                    self._resources.bundles.append(converted)
-                entry = self._bundles[key] = (bundle, converted)
-            return entry[1]
+            if type(current) is ShardedSQLiteBackend and current.shards == config.shards:
+                return None
+            return ShardedSQLiteBackend(shards=config.shards)
+        if config.backend == "sqlite":
+            # The pool size is fixed at construction (a pooled primary
+            # connection is opened without check_same_thread), so ``sqlite``
+            # with another pool size is another backend.
+            parallelism = config.parallelism or 1
+            pool_size = parallelism if parallelism > 1 else None
+            if type(current) is SQLiteBackend and current.pool_size == pool_size:
+                return None
+            return SQLiteBackend(pool_size=pool_size)
+        if config.backend is None or config.backend == instance.backend_name:
+            return None
+        return create_backend(config.backend)
 
     def saturation_store_for(
         self, instance: DatabaseInstance, learner: Any = None
@@ -541,17 +505,12 @@ class LearningSession:
     # Learners
     # ------------------------------------------------------------------ #
     def apply(
-        self,
-        learner: Any,
-        instance: Optional[DatabaseInstance] = None,
-        saturation_store: Optional[SaturationStore] = None,
+        self, learner: Any, saturation_store: Optional[SaturationStore] = None
     ) -> Any:
         """Normalize a learner onto this session's config (see
         :meth:`SessionConfig.apply`).  Instance routing stays with
         :meth:`prepare`."""
-        return self.config.apply(
-            learner, instance=instance, saturation_store=saturation_store
-        )
+        return self.config.apply(learner, saturation_store=saturation_store)
 
     def learner(
         self,
@@ -578,45 +537,6 @@ class LearningSession:
         else:
             learner = cls(schema, parameters=parameters, **kwargs)
         return SessionLearner(self, self.apply(learner))
-
-    def presaturate(
-        self, learner: Any, instance: DatabaseInstance, examples: "ExampleSet"
-    ) -> None:
-        """Warm the shared saturation store for a whole example set.
-
-        Builds the learner's coverage engine once and materializes every
-        example's saturation through the batched entry point — one call,
-        fanned across the worker fleet on sharded/remote backends — so
-        learning starts from a warm store.  Warns once (never errors) for
-        learners/engines without the machinery.
-        """
-        make_engine = getattr(learner, "make_coverage_engine", None)
-        if make_engine is None:
-            warn_once(
-                f"learner {type(learner).__name__} has no coverage-engine "
-                "factory; ignoring presaturate=True"
-            )
-            return
-        store = self.saturation_store_for(instance, learner)
-        if store is None:
-            warn_once(
-                "presaturate=True has no effect with "
-                "reuse_saturation_store=False; ignoring it"
-            )
-            return
-        self.apply(learner, saturation_store=store)
-        engine = make_engine(instance)
-        materialize = getattr(engine, "materialize", None)
-        if materialize is None or not getattr(engine, "compiled_enabled", False):
-            # Without the compiled store the warm-up would only fill this
-            # throwaway engine's private cache — skip instead of double-paying.
-            warn_once(
-                "presaturate=True has no shared store to warm on "
-                f"{type(engine).__name__} (backend "
-                f"{getattr(instance, 'backend_name', '?')!r}); ignoring it"
-            )
-            return
-        materialize(examples.all_examples())
 
     # ------------------------------------------------------------------ #
     # Harness entry points
@@ -671,14 +591,12 @@ class LearningSession:
         bundle: Any,
         learner: Any,
         variants: Optional[List[str]] = None,
-        seed: int = 0,
     ) -> Any:
         """Direct empirical schema-independence check (Definition 3.10)."""
         from ..experiments.harness import check_schema_independence
 
         return check_schema_independence(
-            bundle, self._as_spec(learner), variants=variants, seed=seed,
-            session=self,
+            bundle, self._as_spec(learner), variants=variants, session=self
         )
 
     def _as_spec(self, learner: Any, parameters: Any = None) -> Any:
@@ -833,7 +751,6 @@ class LearningSession:
                 return
             self._closed = True
             self._instances.clear()
-            self._bundles.clear()
             self._stores.clear()
         # Runs _SessionResources.close exactly once; the same callback
         # fires on garbage collection / interpreter exit for sessions that

@@ -13,7 +13,7 @@ from repro.database import backend_names, create_backend
 from repro.database.instance import DatabaseInstance
 from repro.database.query import QueryEvaluator
 from repro.database.sqlite_backend import SQLiteBackend
-from repro.learning.coverage import QueryCoverageEngine, make_coverage_engine
+from repro.learning.coverage import QueryCoverageEngine
 from repro.logic.parser import parse_clause
 from tests.backends import BACKENDS, make_backend
 
@@ -136,11 +136,10 @@ class TestEvaluatorParity:
 
 class TestBackendPlumbing:
     def test_registry_names_and_errors(self):
-        assert backend_names() == (
-            "memory", "sqlite", "sqlite-remote", "sqlite-sharded"
-        )
-        with pytest.raises(ValueError):
-            create_backend("voltdb")
+        assert backend_names() == ("memory", "sqlite")
+        for name in ("voltdb", "sqlite-sharded"):
+            with pytest.raises(ValueError, match="available: \\['memory', 'sqlite'\\]"):
+                create_backend(name)
 
     def test_with_backend_roundtrip(self, simple_instance):
         for backend in BACKENDS:
@@ -148,22 +147,6 @@ class TestBackendPlumbing:
             assert converted.backend_name == backend.replace("-pool", "")
             assert converted.same_contents(simple_instance)
             assert converted == simple_instance
-
-    def test_make_coverage_engine_backend_knob(self, uwcse_bundle):
-        instance = uwcse_bundle.instance(uwcse_bundle.variant_names[0])
-        engine = make_coverage_engine(instance, strategy="query", backend="sqlite")
-        assert engine.instance.backend_name == "sqlite"
-        with pytest.raises(ValueError):
-            make_coverage_engine(instance, strategy="magic")
-
-    def test_bundle_with_backend(self, uwcse_bundle):
-        sqlite_bundle = uwcse_bundle.with_backend("sqlite")
-        variant = sqlite_bundle.variant_names[0]
-        assert sqlite_bundle.instance(variant).backend_name == "sqlite"
-        assert sqlite_bundle.instance(variant).same_contents(
-            uwcse_bundle.instance(variant)
-        )
-        assert uwcse_bundle.with_backend(uwcse_bundle.backend) is uwcse_bundle
 
 
 class TestPooledBackend:

@@ -2,14 +2,14 @@
 
 The distributed half of the update API:
 
-* a transaction on a ``sqlite-remote`` instance ships ONE ``apply_delta``
+* a transaction on a server-placed (``RemoteBackend``) instance ships ONE ``apply_delta``
   frame (not the full payload) to a warm server, which advances the held
   payload, verifies the claimed content hash, and repairs its fleet from
   the recorded hash chain;
 * a corrupt/diverged delta is rejected with the typed wire error and the
   client recovers through the full register/load dance — correctness never
   rides on the delta path;
-* a warm ``sqlite-sharded`` fleet survives many update rounds with
+* a warm fleet-placed (``ShardedSQLiteBackend``) instance survives many update rounds with
   incremental reloads only, staying byte-identical to a cold rebuild.
 """
 
@@ -23,7 +23,14 @@ from repro.database import Delta
 from repro.database.instance import DatabaseInstance
 from repro.database.schema import RelationSchema, Schema
 from repro.database.sqlite_backend import SaturationStore
-from repro.distributed import InstancePayload, ServerError, ServiceClient, ServiceServer
+from repro.distributed import (
+    InstancePayload,
+    RemoteBackend,
+    ServerError,
+    ServiceClient,
+    ServiceServer,
+    ShardedSQLiteBackend,
+)
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.learning.coverage import SubsumptionCoverageEngine
 from repro.learning.examples import Example
@@ -49,8 +56,9 @@ def server():
 # Remote: one apply_delta frame instead of a payload re-ship
 # --------------------------------------------------------------------- #
 def test_remote_transaction_ships_one_delta_frame(server):
-    instance = DatabaseInstance(tiny_schema(), backend="sqlite-remote")
-    instance.backend.configure_remote(address=server.address)
+    instance = DatabaseInstance(
+        tiny_schema(), backend=RemoteBackend(address=server.address)
+    )
     try:
         with instance.transaction():
             for i in range(20):
@@ -94,8 +102,9 @@ def test_remote_transaction_ships_one_delta_frame(server):
 def test_remote_recovers_when_the_delta_chain_is_lost(server):
     """Handle eviction between a mutation and the next batch: the delta has
     nowhere to land, so the client falls back to the full dance."""
-    instance = DatabaseInstance(tiny_schema(), backend="sqlite-remote")
-    instance.backend.configure_remote(address=server.address)
+    instance = DatabaseInstance(
+        tiny_schema(), backend=RemoteBackend(address=server.address)
+    )
     try:
         instance.add_tuples("p", [(1, 2), (3, 4)])
         instance.add_tuples("q", [(1,), (3,)])
@@ -185,8 +194,9 @@ def test_sharded_fleet_survives_many_update_rounds():
     ]
     rng = random.Random(29)
 
-    warm = DatabaseInstance(schema, backend="sqlite-sharded")
-    warm.backend.configure_sharding(shards=2, strategy="hash")
+    warm = DatabaseInstance(
+        schema, backend=ShardedSQLiteBackend(shards=2, strategy="hash")
+    )
     try:
         # A payload two orders of magnitude above the per-round churn, so
         # collect_diff's "diff smaller than payload" gate always passes.

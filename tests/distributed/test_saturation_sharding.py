@@ -16,6 +16,7 @@ import pytest
 
 from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomClauseConfig
 from repro.database.sqlite_backend import SaturationStore
+from repro.distributed import ShardedSQLiteBackend
 from repro.learning.bottom_clause import BatchSaturationEngine, BottomClauseBuilder, BottomClauseConfig
 from repro.learning.coverage import SubsumptionCoverageEngine
 
@@ -27,8 +28,7 @@ def clause_strings(clauses):
 @pytest.fixture
 def sharded_instance(small_uwcse):
     _bundle, instance, _examples, _clauses = small_uwcse
-    converted = instance.with_backend("sqlite-sharded")
-    converted.backend.configure_sharding(shards=2, strategy="hash")
+    converted = instance.with_backend(ShardedSQLiteBackend(shards=2, strategy="hash"))
     yield converted
     converted.backend.close()
 
@@ -41,8 +41,7 @@ def test_sharded_saturation_matches_in_process(small_uwcse, shards):
     reference = clause_strings(
         CastorBottomClauseBuilder(instance, config=config).build_ground_many(examples)
     )
-    converted = instance.with_backend("sqlite-sharded")
-    converted.backend.configure_sharding(shards=shards)
+    converted = instance.with_backend(ShardedSQLiteBackend(shards=shards))
     try:
         builder = CastorBottomClauseBuilder(converted, config=config)
         engine = BatchSaturationEngine(builder)

@@ -16,7 +16,13 @@ import pytest
 from repro import LearningSession, SessionConfig
 from repro.database import RelationSchema, Schema
 from repro.datasets import uwcse
-from repro.distributed import InstancePayload, ServiceClient, ServiceServer
+from repro.distributed import (
+    InstancePayload,
+    RemoteBackend,
+    ServiceClient,
+    ServiceServer,
+    ShardedSQLiteBackend,
+)
 from repro.experiments.harness import LearnerSpec, run_variant
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
@@ -105,6 +111,17 @@ def test_two_sequential_runs_share_one_warm_instance(tiny_bundle, server):
     )
 
 
+def test_service_address_places_sqlite_on_the_server(tiny_bundle, server):
+    """A connected session prepares instances on a ``RemoteBackend`` that
+    still reports the storage name ``sqlite`` (so ``copy()`` resolves)."""
+    with LearningSession(SessionConfig(service_address=server.address)) as session:
+        assert session.config.backend == "sqlite"
+        prepared = session.prepare(tiny_bundle.instance(tiny_bundle.variant_names[0]))
+        assert type(prepared.backend) is RemoteBackend
+        assert prepared.backend_name == "sqlite"
+        assert prepared.copy().same_contents(prepared)
+
+
 def test_concurrent_sessions_share_the_server(tiny_bundle, server):
     variants = tiny_bundle.variant_names[:2]
     baselines = {
@@ -184,8 +201,7 @@ def test_mutated_data_retires_the_superseded_handle(tiny_bundle, server):
     source = tiny_bundle.instance(variant).with_backend("memory")
     relation = source.schema.relations[0]
     with LearningSession.connect(server.address) as session:
-        run_variant(tiny_bundle.with_backend("memory"), variant, progolem_spec(),
-                    folds=2, session=session)
+        run_variant(tiny_bundle, variant, progolem_spec(), folds=2, session=session)
         # The bundle caches its own instance; drive prepare() directly on a
         # mutable source to exercise the retirement path.
         prepared = session.prepare(source)
@@ -271,7 +287,7 @@ def test_shared_handle_with_divergent_data_stays_correct(tiny_bundle, server):
 # --------------------------------------------------------------------- #
 def test_evaluation_service_close_is_idempotent(tiny_bundle):
     instance = tiny_bundle.instance(tiny_bundle.variant_names[0]).with_backend(
-        "sqlite-sharded"
+        ShardedSQLiteBackend()
     )
     service = instance.backend.coverage_service()
     service.close()  # never started: still safe
@@ -305,7 +321,7 @@ def test_sigkilled_coordinator_leaks_no_workers(tmp_path, tiny_bundle):
                     seed=1,
                 )
                 session = LearningSession(
-                    SessionConfig(backend="sqlite-sharded", shards=2)
+                    SessionConfig(backend="sqlite", shards=2)
                 )
                 instance = session.prepare(bundle.instance(bundle.variant_names[0]))
                 service = instance.backend.coverage_service().start()

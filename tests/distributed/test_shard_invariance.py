@@ -1,4 +1,4 @@
-"""Shard-count and parallelism invariance of the ``sqlite-sharded`` backend.
+"""Shard-count and parallelism invariance of ``sqlite`` placed on a fleet.
 
 The acceptance property: coverage results are **byte-identical** for every
 ``shards`` x ``parallelism`` combination, and identical to the
@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from repro.distributed import SHARDING_STRATEGIES
+from repro.distributed import SHARDING_STRATEGIES, ShardedSQLiteBackend
 from repro.learning.coverage import (
     BatchCoverageEngine,
     QueryCoverageEngine,
@@ -44,9 +44,7 @@ def workload(small_uwcse):
     }
     sharded = {}
     for shards in (1, 2, 4):
-        converted = instance.with_backend("sqlite-sharded")
-        converted.backend.configure_sharding(shards=shards)
-        sharded[shards] = converted
+        sharded[shards] = instance.with_backend(ShardedSQLiteBackend(shards=shards))
     yield reference, sharded, examples, clauses
     for converted in sharded.values():
         converted.backend.close()
@@ -81,42 +79,28 @@ def test_subsumption_coverage_is_shard_and_parallelism_invariant(
 @pytest.mark.parametrize("strategy", SHARDING_STRATEGIES)
 def test_every_sharding_strategy_gives_identical_results(workload, strategy):
     reference, sharded, examples, clauses = workload
-    instance = sharded[2]
-    instance.backend.configure_sharding(strategy=strategy)
-    got = BatchCoverageEngine(
-        SubsumptionCoverageEngine(instance)
-    ).covered_examples_batch(clauses, examples)
+    instance = sharded[2].with_backend(
+        ShardedSQLiteBackend(shards=2, strategy=strategy)
+    )
+    try:
+        got = BatchCoverageEngine(
+            SubsumptionCoverageEngine(instance)
+        ).covered_examples_batch(clauses, examples)
+    finally:
+        instance.backend.close()
     assert result_bytes(got) == reference["subsumption"]
 
 
-def test_sharded_backend_is_registry_selectable(small_uwcse):
-    """"sqlite-sharded" resolves purely through the backend registry."""
-    from repro.database.backend import backend_names, create_backend
+def test_sharded_backend_reports_sqlite_storage():
+    """Placement is the backend's type, not a registry name: a fleet-placed
+    backend reports its storage, so ``DatabaseInstance.copy()`` resolves."""
+    from repro.database.backend import backend_names
 
-    assert "sqlite-sharded" in backend_names()
-    backend = create_backend("sqlite-sharded")
-    assert backend.name == "sqlite-sharded"
+    assert backend_names() == ("memory", "sqlite")
+    backend = ShardedSQLiteBackend(shards=1)
+    assert backend.name == "sqlite"
     assert backend.supports_compiled_queries
     backend.close()
-
-
-def test_reapplying_current_sharding_config_keeps_workers_warm(small_uwcse):
-    """configure_sharding with unchanged settings must not respawn the
-    fleet — learners re-apply their shards= at the top of every learn()."""
-    _bundle, instance, examples, clauses = small_uwcse
-    converted = instance.with_backend("sqlite-sharded")
-    try:
-        converted.backend.configure_sharding(shards=2)
-        engine = BatchCoverageEngine(SubsumptionCoverageEngine(converted))
-        engine.covered_examples_batch(clauses[:2], examples)
-        pids = converted.backend.coverage_service().worker_pids()
-        converted.backend.configure_sharding(shards=2)  # same settings
-        assert converted.backend.coverage_service().worker_pids() == pids
-        converted.backend.configure_sharding(shards=1)  # changed: restart
-        engine.covered_examples_batch(clauses[:2], examples)
-        assert converted.backend.coverage_service().worker_pids() != pids
-    finally:
-        converted.backend.close()
 
 
 def test_dropped_backend_releases_its_workers(small_uwcse):
@@ -126,8 +110,7 @@ def test_dropped_backend_releases_its_workers(small_uwcse):
     import weakref
 
     _bundle, instance, examples, clauses = small_uwcse
-    converted = instance.with_backend("sqlite-sharded")
-    converted.backend.configure_sharding(shards=1)
+    converted = instance.with_backend(ShardedSQLiteBackend(shards=1))
     BatchCoverageEngine(QueryCoverageEngine(converted)).covered_examples_batch(
         clauses[:1], examples
     )

@@ -1,15 +1,13 @@
-"""Harness on session configs: warn-once best-effort settings, sharded
+"""Harness on session configs: session-only configuration, sharded
 sessions, and cross-validation saturation-store reuse."""
 
 from __future__ import annotations
 
 import inspect
-import warnings
 
 import pytest
 
 from repro import LearningSession, SessionConfig
-from repro.database import DatabaseInstance, RelationSchema, Schema
 from repro.datasets import uwcse
 from repro.experiments.harness import (
     LearnerSpec,
@@ -45,20 +43,6 @@ def progolem_spec() -> LearnerSpec:
 
 
 # --------------------------------------------------------------------- #
-# Warn-once semantics
-# --------------------------------------------------------------------- #
-def test_shards_warn_once_on_unsharded_backends():
-    schema = Schema([RelationSchema("r", ["a", "b"])], name="warnme")
-    instance = DatabaseInstance(schema)  # memory backend: no shard service
-    with pytest.warns(RuntimeWarning, match="'memory'.*shards=2"):
-        SessionConfig(shards=2).apply(instance=instance)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        SessionConfig(shards=2).apply(instance=instance)  # second time: silent
-        SessionConfig().apply(instance=instance)  # unset: silent
-
-
-# --------------------------------------------------------------------- #
 # The session is the only way to configure a harness run
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
@@ -71,6 +55,9 @@ def test_harness_entry_points_take_no_evaluation_kwargs(entry_point):
         "presaturate",
     }
     assert not set(parameters) & knobs
+    if entry_point is check_schema_independence:
+        # Learning is seeded by the learners' parameters, not the harness.
+        assert "seed" not in parameters
     assert "session" in parameters
 
 
@@ -113,9 +100,7 @@ def test_run_variant_on_sharded_backend(tiny_bundle):
         baseline = run_variant(
             tiny_bundle, variant, progolem_spec(), folds=2, session=session
         )
-    sharded_config = SessionConfig(
-        backend="sqlite-sharded", shards=2, parallelism=2
-    )
+    sharded_config = SessionConfig(backend="sqlite", shards=2, parallelism=2)
     with LearningSession(sharded_config) as session:
         sharded = run_variant(
             tiny_bundle, variant, progolem_spec(), folds=2, session=session
@@ -131,7 +116,7 @@ def test_check_schema_independence_on_sharded_backend(tiny_bundle):
         baseline = check_schema_independence(
             tiny_bundle, progolem_spec(), variants=variants, session=session
         )
-    with LearningSession(SessionConfig(backend="sqlite-sharded", shards=2)) as session:
+    with LearningSession(SessionConfig(backend="sqlite", shards=2)) as session:
         sharded = check_schema_independence(
             tiny_bundle, progolem_spec(), variants=variants, session=session
         )
@@ -193,28 +178,3 @@ def test_store_is_shared_across_fold_learners(tiny_bundle):
     assert len(seen) >= 2, "cross-validation should build one learner per fold"
     assert len(stores) == 1
     assert isinstance(seen[0].saturation_store, SaturationStore)
-
-
-def test_presaturate_warms_the_shared_store_before_folding(tiny_bundle):
-    """presaturate materializes every example into the shared store up
-    front (one batched call) and fold results are unchanged."""
-    spec = progolem_spec()
-    seen = []
-    original_factory = spec.factory
-
-    def spying_factory(schema_arg):
-        learner = original_factory(schema_arg)
-        seen.append(learner)
-        return learner
-
-    spec.factory = spying_factory
-    warmed = run_on_sqlite(tiny_bundle, spec, 2, presaturate=True)
-    store = seen[0].saturation_store
-    assert len(store) == len(tiny_bundle.examples.all_examples())
-
-    cold = run_on_sqlite(tiny_bundle, progolem_spec(), 2, presaturate=False)
-    assert (warmed.precision, warmed.recall, warmed.f1) == (
-        cold.precision,
-        cold.recall,
-        cold.f1,
-    )

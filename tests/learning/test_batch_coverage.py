@@ -14,7 +14,6 @@ from repro.learning.coverage import (
     CoverageBatch,
     QueryCoverageEngine,
     SubsumptionCoverageEngine,
-    make_coverage_engine,
 )
 from repro.learning.examples import Example
 from tests.backends import BACKENDS, make_backend
@@ -114,8 +113,8 @@ class TestCompiledSubsumptionParity:
     def test_compiled_agrees_with_python_engine(self, workload):
         instance, clauses, examples = workload
         all_examples = examples.all_examples()
-        python_engine = make_coverage_engine(instance, strategy="subsumption-python")
-        compiled_engine = make_coverage_engine(instance, strategy="subsumption-compiled")
+        python_engine = SubsumptionCoverageEngine(instance, compiled=False)
+        compiled_engine = SubsumptionCoverageEngine(instance, compiled=True)
         for clause in clauses:
             python_covered = {
                 e.values for e in python_engine.covered_examples(clause, all_examples)
@@ -177,9 +176,9 @@ class TestCompiledSubsumptionParity:
         ]
         assert examples[1] in engine._compiled_failed
 
-    def test_make_coverage_engine_strategies(self, workload):
+    def test_explicit_compiled_overrides_the_backend_default(self, workload):
         instance, _, _ = workload
-        assert make_coverage_engine(instance, strategy="subsumption-compiled").compiled_enabled
-        assert not make_coverage_engine(instance, strategy="subsumption-python").compiled_enabled
-        with pytest.raises(ValueError):
-            make_coverage_engine(instance, strategy="subsumption-sql")
+        assert SubsumptionCoverageEngine(instance, compiled=True).compiled_enabled
+        assert not SubsumptionCoverageEngine(
+            instance.with_backend("sqlite"), compiled=False
+        ).compiled_enabled

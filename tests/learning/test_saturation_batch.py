@@ -211,7 +211,7 @@ def test_neighbors_of_batch_matches_brute_force(r1, r2, frontier):
 
 def test_shared_store_skips_reconstruction_in_later_engines(uwcse_workload):
     """An engine handed an already-warm shared store (later folds, the
-    harness presaturation pass) claims stored saturations by key instead
+    ``materialize`` warm-up) claims stored saturations by key instead
     of rebuilding every clause."""
     instance, examples = uwcse_workload
     sqlite_instance = instance.with_backend("sqlite")

@@ -7,10 +7,16 @@ import inspect
 import pytest
 
 from repro import LearningSession, SessionConfig
-from repro.database.sqlite_backend import SQLiteBackend
-from repro.datasets import uwcse
+from repro.castor.stored_procedures import (
+    StoredProcedureRunner,
+    compare_stored_procedure_modes,
+)
+from repro.database.sqlite_backend import SQLiteBackend, default_pool_size
+from repro.datasets import hiv, imdb, uwcse
+from repro.datasets.base import DatasetBundle
+from repro.distributed import ShardedSQLiteBackend
+from repro.distributed.sharding import DEFAULT_STRATEGY
 from repro.experiments.harness import LearnerSpec, run_variant
-from repro.foil.foil import FoilLearner
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
 from repro.session.session import SessionLearner, _learner_kinds
@@ -64,6 +70,27 @@ def test_no_learner_takes_evaluation_kwargs(kind):
     )
 
 
+@pytest.mark.parametrize(
+    "converter",
+    [
+        uwcse.load,
+        hiv.load,
+        hiv.load_small,
+        hiv.load_large,
+        imdb.load,
+        DatasetBundle,
+        StoredProcedureRunner,
+        compare_stored_procedure_modes,
+    ],
+    ids=lambda f: f.__qualname__,
+)
+def test_only_the_session_converts_instances(converter):
+    """Bundles, loaders and the stored-procedure runner take no backend:
+    ``session.prepare`` is the one place an instance changes backend."""
+    assert "backend" not in inspect.signature(converter).parameters
+    assert not hasattr(DatasetBundle, "with_backend")
+
+
 def test_session_apply_configures_a_learner(tiny_bundle):
     with LearningSession(SessionConfig(parallelism=2)) as session:
         learner = session.apply(
@@ -97,8 +124,8 @@ def test_registry_kinds_take_parameters(tiny_bundle):
 
 
 def test_repeat_sweeps_stay_warm(tiny_bundle):
-    """A second sweep on one session reuses the converted bundle, the
-    prepared instances, and the saturation stores (no cache growth)."""
+    """A second sweep on one session reuses the prepared instances and the
+    saturation stores (no cache growth)."""
     with LearningSession(SessionConfig(backend="sqlite")) as session:
         session.sweep(
             tiny_bundle, [progolem_spec()],
@@ -266,17 +293,81 @@ def test_multi_spec_sweep_matches_per_run_path(tiny_bundle):
     assert [as_key(r) for r in swept] == [as_key(r) for r in isolated]
 
 
-def test_topology_knobs_reach_the_backend(tiny_bundle):
-    """sharding_strategy/transport are applied, not just validated."""
-    config = SessionConfig(
-        backend="sqlite-sharded", shards=2,
-        sharding_strategy="size-balanced", transport="socket",
-    )
-    with LearningSession(config) as session:
+# --------------------------------------------------------------------- #
+# Storage × placement: shards= puts sqlite on a local fleet
+# --------------------------------------------------------------------- #
+def test_shards_place_sqlite_on_a_fleet_with_the_default_topology(tiny_bundle):
+    with LearningSession(SessionConfig(shards=2)) as session:
         prepared = session.prepare(tiny_bundle.instance(tiny_bundle.variant_names[0]))
-        assert prepared.backend.shards == 2
-        assert prepared.backend.strategy == "size-balanced"
-        assert prepared.backend.transport == "socket"
+        backend = prepared.backend
+        assert type(backend) is ShardedSQLiteBackend
+        assert prepared.backend_name == "sqlite"
+        assert backend.shards == 2
+        assert backend.strategy == DEFAULT_STRATEGY
+        assert backend.transport == "pipe"
+        assert backend.pool_size == default_pool_size()
+
+
+def test_sharded_placement_learns_the_memory_definitions(tiny_bundle):
+    """Placement only moves work: Castor and FOIL learn byte-identical
+    definitions on a two-shard fleet and in memory."""
+    variant = tiny_bundle.variant_names[0]
+    schema = tiny_bundle.schema(variant)
+    # A private copy: the memory session prepares (and so manages) it.
+    instance = tiny_bundle.instance(variant).copy()
+
+    def learn_all(config):
+        with LearningSession(config) as session:
+            definitions = [
+                str(session.learner(kind, schema).learn(instance, tiny_bundle.examples))
+                for kind in ("castor", "foil")
+            ]
+            stats = session.evaluation_stats()
+            return definitions, session.prepare(instance).backend, stats
+
+    expected, _, _ = learn_all(SessionConfig(backend="memory"))
+    sharded, backend, stats = learn_all(SessionConfig(backend="sqlite", shards=2))
+    assert sharded == expected
+    assert isinstance(backend, ShardedSQLiteBackend)
+    assert backend.shards == 2 and backend.name == "sqlite"
+    assert stats["batches_served"] > 0
+
+
+def test_repeat_runs_reuse_one_fleet(tiny_bundle):
+    """The fleet is built once per prepared instance: a second
+    ``session.run`` lands on the same warm workers."""
+    variant = tiny_bundle.variant_names[0]
+    with LearningSession(SessionConfig(backend="sqlite", shards=2)) as session:
+        first = session.run(tiny_bundle, variant, progolem_spec(), folds=2)
+        prepared = session.prepare(tiny_bundle.instance(variant))
+        service = prepared.backend.coverage_service()
+        pids = service.worker_pids()
+        assert any(pid is not None for pid in pids)
+        second = session.run(tiny_bundle, variant, progolem_spec(), folds=2)
+        assert session.prepare(tiny_bundle.instance(variant)) is prepared
+        assert prepared.backend.coverage_service() is service
+        assert service.worker_pids() == pids
+    assert as_key(first) == as_key(second)
+
+
+def test_prepare_converts_across_placements(tiny_bundle):
+    """A fleet-placed source is reused by a session with the same shard
+    count and moved in process by a plain ``sqlite`` session, although both
+    report the storage name ``sqlite``."""
+    source = tiny_bundle.instance(tiny_bundle.variant_names[0]).with_backend(
+        ShardedSQLiteBackend(shards=2)
+    )
+    try:
+        with LearningSession(SessionConfig(shards=2)) as session:
+            assert session.prepare(source) is source
+        with LearningSession(SessionConfig(shards=1)) as session:
+            assert session.prepare(source).backend.shards == 1
+        with LearningSession(SessionConfig(backend="sqlite")) as session:
+            prepared = session.prepare(source)
+            assert type(prepared.backend) is SQLiteBackend
+            assert prepared.same_contents(source)
+    finally:
+        source.backend.close()
 
 
 @pytest.mark.parametrize(
@@ -325,21 +416,6 @@ def test_storeless_learner_opens_no_store(tiny_bundle):
         learner = session.learner("foil", tiny_bundle.schema(variant))
         learner.learn(tiny_bundle.instance(variant), tiny_bundle.examples)
         assert session._stores == {}
-
-
-def test_unhonorable_coverage_strategy_warns_once(tiny_bundle):
-    import warnings
-
-    schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
-    with pytest.warns(RuntimeWarning, match="always uses subsumption"):
-        SessionConfig(coverage="query").apply(ProGolemLearner(schema))
-    with pytest.warns(RuntimeWarning, match="always uses query"):
-        SessionConfig(coverage="subsumption").apply(FoilLearner(schema))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # Matching families are honored silently.
-        SessionConfig(coverage="subsumption").apply(ProGolemLearner(schema))
-        SessionConfig(coverage="query").apply(FoilLearner(schema))
 
 
 def test_reuse_disabled_hands_out_no_store(tiny_bundle):
@@ -411,21 +487,8 @@ def test_context_manager_closes(tiny_bundle):
     assert session.closed
 
 
-def test_close_shuts_down_bundle_converted_fleets(tiny_bundle):
-    """Backends created inside a session-converted bundle (the sweep path)
-    are owned by the session and closed with it."""
-    session = LearningSession(SessionConfig(backend="sqlite-sharded", shards=2))
-    converted = session.prepare_bundle(tiny_bundle)
-    assert converted is not tiny_bundle
-    instance = converted.instance(tiny_bundle.variant_names[0])
-    service = instance.backend.coverage_service().start()
-    assert any(pid is not None for pid in service.worker_pids())
-    session.close()
-    assert instance.backend._service is None
-
-
 def test_close_shuts_down_owned_sharded_fleet(tiny_bundle):
-    session = LearningSession(SessionConfig(backend="sqlite-sharded", shards=2))
+    session = LearningSession(SessionConfig(backend="sqlite", shards=2))
     prepared = session.prepare(tiny_bundle.instance(tiny_bundle.variant_names[0]))
     backend = prepared.backend
     service = backend.coverage_service().start()
@@ -436,7 +499,7 @@ def test_close_shuts_down_owned_sharded_fleet(tiny_bundle):
 
 
 def test_evaluation_stats_counts_sharded_reloads(tiny_bundle):
-    with LearningSession(SessionConfig(backend="sqlite-sharded", shards=2)) as session:
+    with LearningSession(SessionConfig(backend="sqlite", shards=2)) as session:
         result = session.run(
             tiny_bundle, tiny_bundle.variant_names[0], progolem_spec(), folds=2
         )

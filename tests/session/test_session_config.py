@@ -1,23 +1,28 @@
-"""SessionConfig validation: incoherent combos are rejected with actionable
-messages, and apply() is the single warn-once normalization path."""
+"""SessionConfig validation: storage × placement combos that cannot run are
+rejected with actionable messages, and apply() is the single warn-once
+normalization path."""
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
 
-from repro.database import DatabaseInstance, RelationSchema, Schema
+from repro.database import RelationSchema, Schema
 from repro.progolem.progolem import ProGolemLearner
-from repro.session import COVERAGE_STRATEGIES, SessionConfig
+from repro.session import SessionConfig
 
-# Base settings of each backend case; ``sqlite-pool`` is ``sqlite`` sized
-# to a snapshot read pool by ``parallelism``.
+ADDRESS = "127.0.0.1:7463"
+
+# Base settings of each storage × placement case; ``sqlite-pool`` is
+# ``sqlite`` sized to a snapshot read pool by ``parallelism``, and
+# ``sqlite-shards`` is ``sqlite`` placed on a local fleet.
 BACKENDS = {
     "memory": {"backend": "memory"},
     "sqlite": {"backend": "sqlite"},
     "sqlite-pool": {"backend": "sqlite", "parallelism": 2},
-    "sqlite-sharded": {"backend": "sqlite-sharded"},
+    "sqlite-shards": {"backend": "sqlite", "shards": 2},
 }
 backend_matrix = pytest.mark.parametrize(
     "base", list(BACKENDS.values()), ids=list(BACKENDS)
@@ -28,16 +33,44 @@ def schema() -> Schema:
     return Schema([RelationSchema("r", ["a", "b"])], name="s")
 
 
+def test_config_has_nine_fields():
+    assert [field.name for field in dataclasses.fields(SessionConfig)] == [
+        "backend",
+        "parallelism",
+        "shards",
+        "reuse_saturation_store",
+        "service_address",
+        "instance_handle",
+        "auth_token",
+        "request_timeout",
+        "trace",
+    ]
+
+
 # --------------------------------------------------------------------- #
-# Backend-matrix validation
+# Storage × placement validation
 # --------------------------------------------------------------------- #
 @backend_matrix
-def test_shards_requires_a_sharded_backend(base):
-    if base["backend"] == "sqlite-sharded":
-        assert SessionConfig(**base, shards=2).shards == 2
-    else:
-        with pytest.raises(ValueError, match="sqlite-sharded"):
+def test_shards_place_sqlite_storage_only(base):
+    if base["backend"] == "memory":
+        with pytest.raises(ValueError, match="'memory' backend.*backend='sqlite'"):
             SessionConfig(**base, shards=2)
+    else:
+        config = SessionConfig(**{**base, "shards": 3})
+        assert config.shards == 3 and config.backend == "sqlite"
+
+
+@backend_matrix
+def test_service_address_places_sqlite_storage_only(base):
+    if base["backend"] == "memory":
+        with pytest.raises(ValueError, match="'memory' backend"):
+            SessionConfig(**base, service_address=ADDRESS)
+    elif "shards" in base:
+        with pytest.raises(ValueError, match="drop one"):
+            SessionConfig(**base, service_address=ADDRESS)
+    else:
+        config = SessionConfig(**base, service_address=ADDRESS)
+        assert config.backend == "sqlite"
 
 
 @backend_matrix
@@ -48,61 +81,30 @@ def test_parallelism_is_coherent_on_every_backend(base):
 
 
 @backend_matrix
-def test_topology_knobs_only_on_sharded_backends(base):
-    if base["backend"] == "sqlite-sharded":
-        config = SessionConfig(
-            **base, sharding_strategy="round-robin", transport="socket"
-        )
-        assert config.sharding_strategy == "round-robin"
-    else:
-        with pytest.raises(ValueError, match="sqlite-sharded"):
-            SessionConfig(**base, sharding_strategy="round-robin")
-        with pytest.raises(ValueError, match="sqlite-sharded"):
-            SessionConfig(**base, transport="socket")
-
-
-@backend_matrix
 def test_unset_knobs_are_always_coherent(base):
     # The knobless config is valid on every backend.
     assert SessionConfig(**base).backend == base["backend"]
 
 
-def test_unknown_backend_lists_the_registry():
-    with pytest.raises(ValueError, match="memory"):
-        SessionConfig(backend="voltdb")
+def test_placement_without_a_backend_means_sqlite():
+    assert SessionConfig(shards=2).backend == "sqlite"
+    assert SessionConfig(service_address=ADDRESS).backend == "sqlite"
+    assert SessionConfig().backend is None
+
+
+@pytest.mark.parametrize("name", ["voltdb", "sqlite-sharded", "sqlite-remote"])
+def test_unknown_backend_lists_the_registry(name):
+    with pytest.raises(
+        ValueError, match=r"unknown backend .*available: \['memory', 'sqlite'\]"
+    ):
+        SessionConfig(backend=name)
 
 
 def test_out_of_range_counts():
     with pytest.raises(ValueError, match="parallelism"):
         SessionConfig(parallelism=0)
     with pytest.raises(ValueError, match="shards"):
-        SessionConfig(backend="sqlite-sharded", shards=0)
-
-
-def test_unknown_coverage_strategy_lists_options():
-    with pytest.raises(ValueError, match="subsumption-compiled"):
-        SessionConfig(coverage="compiled")
-    for strategy in COVERAGE_STRATEGIES:
-        if strategy == "query":
-            continue
-        assert SessionConfig(coverage=strategy).coverage == strategy
-
-
-def test_presaturate_needs_the_shared_store():
-    with pytest.raises(ValueError, match="reuse_saturation_store"):
-        SessionConfig(presaturate=True, reuse_saturation_store=False)
-
-
-def test_presaturate_incoherent_with_query_coverage():
-    with pytest.raises(ValueError, match="no saturations"):
-        SessionConfig(presaturate=True, coverage="query")
-
-
-def test_unknown_strategy_and_transport_names():
-    with pytest.raises(ValueError, match="round-robin"):
-        SessionConfig(backend="sqlite-sharded", sharding_strategy="modulo")
-    with pytest.raises(ValueError, match="pipe"):
-        SessionConfig(backend="sqlite-sharded", transport="grpc")
+        SessionConfig(backend="sqlite", shards=0)
 
 
 # --------------------------------------------------------------------- #
@@ -111,34 +113,32 @@ def test_unknown_strategy_and_transport_names():
 def test_service_address_must_parse():
     with pytest.raises(ValueError, match="HOST:PORT"):
         SessionConfig(service_address="not-an-address")
-    assert SessionConfig(service_address="127.0.0.1:7463").service_address
+    assert SessionConfig(service_address=ADDRESS).service_address
 
 
-def test_service_address_conflicts_with_local_topology():
-    with pytest.raises(ValueError, match="fixed when the persistent server"):
-        SessionConfig(service_address="127.0.0.1:7463", shards=2)
-    with pytest.raises(ValueError, match="drop backend="):
-        SessionConfig(service_address="127.0.0.1:7463", backend="sqlite-sharded")
+def test_service_address_conflicts_with_local_shards():
+    with pytest.raises(ValueError, match="fixed when it starts"):
+        SessionConfig(service_address=ADDRESS, shards=2)
 
 
-def test_remote_backend_requires_an_address():
+def test_connection_settings_require_an_address():
     with pytest.raises(ValueError, match="service_address"):
-        SessionConfig(backend="sqlite-remote")
-    config = SessionConfig(
-        backend="sqlite-remote", service_address="127.0.0.1:7463"
-    )
-    assert config.backend == "sqlite-remote"
+        SessionConfig(auth_token="secret")
+    with pytest.raises(ValueError, match="service_address"):
+        SessionConfig(request_timeout=5.0)
+    with pytest.raises(ValueError, match="> 0"):
+        SessionConfig(service_address=ADDRESS, request_timeout=0)
 
 
 # --------------------------------------------------------------------- #
 # merged()
 # --------------------------------------------------------------------- #
 def test_merged_overrides_and_revalidates():
-    base = SessionConfig(backend="sqlite-sharded", shards=2)
+    base = SessionConfig(backend="sqlite", shards=2)
     bumped = base.merged(shards=4)
-    assert bumped.shards == 4 and bumped.backend == "sqlite-sharded"
+    assert bumped.shards == 4 and bumped.backend == "sqlite"
     assert base.shards == 2  # immutable
-    with pytest.raises(ValueError, match="sqlite-sharded"):
+    with pytest.raises(ValueError, match="'memory' backend"):
         base.merged(backend="memory")
     assert base.merged() is base
 
@@ -156,13 +156,11 @@ class OtherConfigKnoblessLearner:
 
 def test_apply_sets_knobs_the_learner_exposes():
     learner = ProGolemLearner(schema())
-    config = SessionConfig(
-        backend="sqlite", parallelism=5, coverage="subsumption-python"
-    )
+    config = SessionConfig(backend="sqlite", parallelism=5)
     assert config.apply(learner) is learner
     assert learner.parallelism == 5
-    assert learner.compiled_coverage is False
     assert not hasattr(learner, "backend")
+    assert not hasattr(learner, "compiled_coverage")
 
 
 def test_apply_warns_once_on_learners_without_the_knob():
@@ -189,19 +187,12 @@ def test_apply_hands_out_the_saturation_store():
     assert learner.saturation_store is store
 
 
-def test_apply_configures_instance_sharding():
-    instance = DatabaseInstance(schema(), backend="sqlite-sharded")
-    SessionConfig(backend="sqlite-sharded", shards=3).apply(instance=instance)
-    assert instance.backend.shards == 3
-    instance.backend.close()
-
-
-def test_apply_without_instance_leaves_learner_topology_alone():
+def test_apply_leaves_learner_topology_alone():
     """Backend and shards reach instances only (through ``prepare``); a
     learner gets no topology attributes and no warning about them."""
     learner = ProGolemLearner(schema())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        SessionConfig(backend="sqlite-sharded", shards=3).apply(learner)
+        SessionConfig(backend="sqlite", shards=3).apply(learner)
     assert not hasattr(learner, "shards")
     assert not hasattr(learner, "backend")

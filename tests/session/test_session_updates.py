@@ -138,7 +138,7 @@ def test_update_resyncs_a_live_sharded_fleet():
     source = tiny_source()
     clause = parse_clause("q(x) :- r(x, y).")
     with LearningSession(
-        SessionConfig(backend="sqlite-sharded", shards=2)
+        SessionConfig(backend="sqlite", shards=2)
     ) as session:
         prepared = session.prepare(source)
         backend = prepared.backend
