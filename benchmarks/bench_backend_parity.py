@@ -43,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import LearningSession
 from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomClauseConfig
 from repro.database.instance import DatabaseInstance
-from repro.distributed.sharding import DEFAULT_STRATEGY
 from repro.datasets import hiv, uwcse
 from repro.learning.coverage import (
     BatchCoverageEngine,
@@ -254,7 +253,6 @@ def run_workload(
             )
         record["cross_shard_parity"] = {
             "shards_compared": [1, shards],
-            "strategy": instances["sqlite-sharded"].backend.strategy,
         }
         for index, (expected, actual) in enumerate(
             zip(single_sets, batched["sqlite-sharded"])
@@ -458,7 +456,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "seed": args.seed,
                 "parallelism": args.parallelism,
                 "shards": args.shards,
-                "sharding_strategy": DEFAULT_STRATEGY,
             },
             "parity_ok": bool(all_parity),
             "workloads": records,

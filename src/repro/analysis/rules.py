@@ -103,8 +103,8 @@ class WireSafetyRule(Rule):
         "coordinator<->worker modules"
     )
 
-    #: The coordinator<->worker seam (spawned processes, HMAC-authenticated
-    #: sockets) plus the test modules dedicated to exercising that seam —
+    #: The coordinator<->worker seam (spawned processes on multiprocessing
+    #: pipes; sockets take no pickle default) plus the test modules dedicated to exercising that seam —
     #: including the hardening tests that *send* pickle bombs to prove the
     #: server rejects them.
     DEFAULT_ALLOWLIST = (

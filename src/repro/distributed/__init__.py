@@ -1,21 +1,22 @@
 """Sharded multi-process evaluation: the distributed tier of the backend stack.
 
 The paper's Castor leans on an in-memory RDBMS for parallel set-at-a-time
-evaluation; this package scales that same seam across *processes* (and,
-over the socket transport, across hosts).  See ``docs/distributed.md`` for
-the topology, the wire protocol, and the failure semantics.
+evaluation; this package scales that same seam across spawned worker
+*processes* on pipes, and serves warm fleets to remote learning sessions
+from a persistent server.  See ``docs/distributed.md`` for the topology,
+the wire protocol, and the failure semantics.
 
 Public surface:
 
-* :class:`EvaluationService` — the coordinator (sticky sharding, fan-out,
+* :class:`EvaluationService` — the coordinator (hash sharding, fan-out,
   bitset merge, worker lifecycle);
 * :class:`ShardedSQLiteBackend` / :class:`RemoteBackend` — ``sqlite``
   storage placed on a local fleet (``shards=N``) or a persistent server
   (``service_address=``);
 * :class:`ShardFailedError` / :class:`WorkerError` — failure surface;
-* :func:`partition_keys` / :class:`ShardAssigner` — sharding strategies;
-* the :mod:`~repro.distributed.protocol` framing and
-  :mod:`~repro.distributed.worker` entry points.
+* :func:`partition_keys` / :func:`stable_hash` — hash sharding;
+* the :mod:`~repro.distributed.protocol` framing and the
+  :mod:`~repro.distributed.worker` process entry point.
 """
 
 from .backend import ShardedSQLiteBackend
@@ -47,7 +48,7 @@ from .service import (
     default_shard_count,
 )
 from .server import ServiceServer
-from .sharding import SHARDING_STRATEGIES, ShardAssigner, partition_keys, stable_hash
+from .sharding import partition_keys, stable_hash
 from .wire import WIRE_VERSION, JsonWireCodec, WireFormatError
 from .worker import InstancePayload
 
@@ -62,13 +63,11 @@ __all__ = [
     "QuotaExceededError",
     "RemoteBackend",
     "RemoteEvaluationService",
-    "SHARDING_STRATEGIES",
     "ServerBusyError",
     "ServerDrainingError",
     "ServerError",
     "ServiceClient",
     "ServiceServer",
-    "ShardAssigner",
     "ShardFailedError",
     "ShardedSQLiteBackend",
     "SocketTransport",

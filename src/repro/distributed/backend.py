@@ -16,7 +16,7 @@ snapshot read pool are inherited unchanged from
   :meth:`coverage_service`) through the ``coverage_batch`` path,
 
 so a generation of candidate clauses is scored by N worker processes in
-parallel.  Results are invariant in the shard count, strategy, and
+parallel.  Results are invariant in the shard count and
 parallelism, and match the other backends — with one narrow exception
 inherited from the compiled-vs-Python distinction: workers always decide
 subsumption with the exact SQL path (required for shard-count
@@ -25,8 +25,7 @@ Python engine below ``COMPILED_MIN_EXAMPLES`` examples, so a
 budget-exhausting clause on a tiny batch can be decided exactly here but
 conservatively "uncovered" there (see ``docs/backends.md``).
 
-The fleet's topology (shards, strategy, transport) is fixed at
-construction.
+The fleet's shard count is fixed at construction.
 
 Mutations keep going to the primary connection; the service watches the
 backend's data-version token and reloads the workers before the next batch
@@ -43,7 +42,6 @@ from ..database.schema import Schema
 from ..database.sqlite_backend import SQLiteBackend, default_pool_size
 from ..logic.clauses import HornClause
 from .service import EvaluationService, default_shard_count
-from .sharding import DEFAULT_STRATEGY
 from .worker import InstancePayload
 
 Row = Tuple[object, ...]
@@ -71,10 +69,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
         connection=None,
         pool_size: Optional[int] = None,
         shards: Optional[int] = None,
-        strategy: str = DEFAULT_STRATEGY,
-        transport: str = "pipe",
-        worker_backend: str = "sqlite",
-        worker_pool_size: Optional[int] = None,
     ):
         super().__init__(
             connection, default_pool_size() if pool_size is None else pool_size
@@ -82,10 +76,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
         if shards is not None and int(shards) < 1:
             raise ValueError(f"need at least one shard, got {shards}")
         self.shards = int(shards) if shards is not None else default_shard_count()
-        self.strategy = str(strategy)
-        self.transport = str(transport)
-        self.worker_backend = str(worker_backend)
-        self.worker_pool_size = worker_pool_size
         self._instance_schema: Optional[Schema] = None
         self._service: Optional[EvaluationService] = None
         self._service_finalizer = None
@@ -214,12 +204,7 @@ class ShardedSQLiteBackend(SQLiteBackend):
         # reload via the log-floor check.  Clearing here keeps the log from
         # pinning a duplicate of the initial bulk load in memory.
         self._clear_mutation_log()
-        return InstancePayload(
-            schema,
-            rows,
-            backend=self.worker_backend,
-            pool_size=self.worker_pool_size,
-        )
+        return InstancePayload(schema, rows)
 
     def coverage_service(self) -> EvaluationService:
         """The lazily-started evaluation service behind this backend."""
@@ -250,8 +235,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
             self._service = EvaluationService(
                 payload_fn,
                 shards=self.shards,
-                strategy=self.strategy,
-                transport=self.transport,
                 state_token_fn=state_token_fn,
                 diff_fn=diff_fn,
             )
@@ -304,7 +287,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
         started = self._service is not None and self._service._started
         return (
             f"ShardedSQLiteBackend({len(self._relations)} relations, "
-            f"shards={self.shards}, strategy={self.strategy!r}, "
-            f"transport={self.transport!r}, "
+            f"shards={self.shards}, "
             f"service={'started' if started else 'cold'})"
         )

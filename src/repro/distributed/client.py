@@ -560,41 +560,15 @@ class RemoteBackend(ShardedSQLiteBackend):
         self._request_timeout = request_timeout
         self._remote: Optional[RemoteEvaluationService] = None
 
-    def configure_remote(
-        self,
-        address: Optional[str] = None,
-        client: Optional[ServiceClient] = None,
-        handle: Optional[str] = None,
-        token: Optional[str] = None,
-        request_timeout: Optional[float] = None,
-    ) -> None:
-        """Bind the backend to a server before its first batch."""
-        if self._remote is not None:
-            raise RuntimeError(
-                "remote evaluation is already connected; configure_remote() "
-                "must run before the first batch"
-            )
-        if address is not None:
-            self._address = str(address)
-        if client is not None:
-            self._client = client
-            self._owns_client = False
-        if handle is not None:
-            self._handle = str(handle)
-        if token is not None:
-            self._token = str(token)
-        if request_timeout is not None:
-            self._request_timeout = float(request_timeout)
-
     def coverage_service(self) -> RemoteEvaluationService:
         if self._remote is None:
             if self._client is None:
                 if self._address is None:
                     raise RuntimeError(
-                        "this RemoteBackend has no server to talk "
-                        "to; call configure_remote(address='HOST:PORT') or "
+                        "this RemoteBackend has no server to talk to; "
                         "build the instance through "
-                        "LearningSession.connect(address)"
+                        "LearningSession.connect(address) or construct "
+                        "RemoteBackend(address='HOST:PORT')"
                     )
                 self._client = ServiceClient(
                     self._address,

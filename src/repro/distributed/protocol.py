@@ -1,16 +1,17 @@
-"""Length-prefixed framing, pluggable codecs, and the two shard transports.
+"""Length-prefixed framing, pluggable codecs, and the two transports.
 
 A message is a ``(kind, payload)`` tuple encoded as ``4-byte big-endian
 length || body``.  What the body *is* depends on the codec the transport was
 built with:
 
-* :class:`PickleCodec` (default) — pickle bytes.  Used only on the trusted
-  in-process seam between the coordinator and the shard workers it spawned
-  (pipes, or loopback sockets verified with a spawn nonce before any pickle
-  flows — see :func:`auth_proof`).
+* :class:`PickleCodec` — pickle bytes.  The default of
+  :class:`PipeTransport` only: the trusted seam between the coordinator and
+  the shard workers it spawned, which never leaves a multiprocessing pipe.
 * ``wire.JsonWireCodec`` — the versioned tagged-JSON envelope
   (``{"v": 1, "kind": ..., "payload": ...}``).  Used on the client/server
   socket seam, where peers are untrusted: decoding never executes bytes.
+  :class:`SocketTransport` has no default codec, so pickle can only reach a
+  socket when a caller passes it by name.
 
 Both transports enforce :data:`MAX_FRAME_BYTES` *before* allocating a body,
 so a hostile length header cannot trigger a multi-GiB allocation.
@@ -18,8 +19,6 @@ so a hostile length header cannot trigger a multi-GiB allocation.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import pickle
 import socket
 import struct
@@ -166,11 +165,15 @@ class PipeTransport:
 
 
 class SocketTransport:
-    """Frames over a stream socket (a worker on another host, or localhost)."""
+    """Frames over a stream socket: the client/server seam.
 
-    def __init__(self, sock: socket.socket, codec=None):
+    ``codec`` is required: a socket peer may be anyone, so there is no
+    executable default.
+    """
+
+    def __init__(self, sock: socket.socket, codec):
         self._socket = sock
-        self._codec = codec or _PICKLE_CODEC
+        self._codec = codec
         self.last_recv_bytes = 0
         # Batch requests are single frames; latency beats throughput here.
         try:
@@ -240,7 +243,8 @@ def connect(
     address: str,
     timeout: Optional[float] = None,
     request_timeout: Optional[float] = None,
-    codec=None,
+    *,
+    codec,
 ) -> SocketTransport:
     """Open a socket transport to a listening peer (``host:port``).
 
@@ -254,57 +258,3 @@ def connect(
     sock.settimeout(request_timeout)
     return SocketTransport(sock, codec=codec)
 
-
-# ---------------------------------------------------------------------------
-# Raw-bytes auth preamble for pickle-speaking worker sockets.
-#
-# Spawned socket workers dial back to the coordinator (and standalone workers
-# accept coordinator dials); because that seam speaks pickle, the *listening*
-# side must prove the peer knows a shared secret before it unpickles a single
-# frame.  The proof is fixed-size raw bytes — no parsing, no allocation
-# driven by peer input.
-
-_AUTH_MAGIC = b"RPAUTH1\n"
-AUTH_PROOF_BYTES = len(_AUTH_MAGIC) + hashlib.sha256().digest_size
-
-
-def auth_proof(secret: str) -> bytes:
-    """The fixed-size preamble a connecting peer sends to prove the secret."""
-    return _AUTH_MAGIC + hashlib.sha256(secret.encode()).digest()
-
-
-def send_auth_proof(sock: socket.socket, secret: str) -> None:
-    """Send the auth preamble on a just-connected socket."""
-    try:
-        sock.sendall(auth_proof(secret))
-    except OSError as exc:
-        raise TransportError(f"auth preamble send failed: {exc}") from exc
-
-
-def verify_auth_proof(
-    sock: socket.socket, secret: str, timeout: float = 10.0
-) -> bool:
-    """Read and check the auth preamble; True iff the peer knows ``secret``.
-
-    Runs before any pickle decode.  On mismatch or timeout the caller must
-    close the socket without reading further.
-    """
-    expected = auth_proof(secret)
-    previous = sock.gettimeout()
-    sock.settimeout(timeout)
-    try:
-        received = b""
-        while len(received) < AUTH_PROOF_BYTES:
-            try:
-                chunk = sock.recv(AUTH_PROOF_BYTES - len(received))
-            except OSError:
-                return False
-            if not chunk:
-                return False
-            received += chunk
-        return hmac.compare_digest(received, expected)
-    finally:
-        try:
-            sock.settimeout(previous)
-        except OSError:
-            pass

@@ -59,8 +59,7 @@ from .protocol import (
     TransportError,
     UnknownHandleError,
 )
-from .service import TRANSPORTS, EvaluationService
-from .sharding import DEFAULT_STRATEGY, SHARDING_STRATEGIES
+from .service import EvaluationService
 from .wire import WIRE_VERSION, WireFormatError
 from .worker import InstancePayload
 
@@ -260,8 +259,6 @@ class ServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         shards: Optional[int] = None,
-        strategy: str = DEFAULT_STRATEGY,
-        transport: str = "pipe",
         max_instances: int = 32,
         auth_token: Optional[str] = None,
         memory_budget_bytes: Optional[int] = None,
@@ -271,18 +268,7 @@ class ServiceServer:
         drain_timeout: float = 30.0,
         handshake_timeout: float = 30.0,
     ):
-        if strategy not in SHARDING_STRATEGIES:
-            raise ValueError(
-                f"unknown sharding strategy {strategy!r}; "
-                f"available: {list(SHARDING_STRATEGIES)}"
-            )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; available: {list(TRANSPORTS)}"
-            )
         self.shards = shards
-        self.strategy = strategy
-        self.transport = transport
         self.max_instances = max(1, int(max_instances))
         self.auth_token = auth_token
         self.memory_budget_bytes = (
@@ -568,8 +554,6 @@ class ServiceServer:
             served.service = EvaluationService(
                 payload_fn=lambda: served.payload,
                 shards=self.shards,
-                strategy=self.strategy,
-                transport=self.transport,
                 state_token_fn=lambda: served.content_hash,
                 diff_fn=served.collect_diff,
             )
@@ -635,7 +619,6 @@ class ServiceServer:
         return {
             "pid": os.getpid(),
             "shards": self.shards,
-            "strategy": self.strategy,
             "handles": handles,
         }
 
@@ -1086,5 +1069,5 @@ class ServiceServer:
             count = len(self._instances)
         return (
             f"ServiceServer({self.address}, {count} instances, "
-            f"shards={self.shards}, {self.strategy!r})"
+            f"shards={self.shards})"
         )

@@ -1,13 +1,13 @@
 """The evaluation service: a coordinator fanning coverage batches over shards.
 
-:class:`EvaluationService` owns N worker processes (or remote workers), each
-holding a full copy of the database instance and a **sticky slice of the
-example set** (see :mod:`repro.distributed.sharding`).  A coverage batch —
-N candidate clauses against one example list — is split along the example
+:class:`EvaluationService` owns N spawned worker processes on pipes, each
+holding a full copy of the database instance and a **hash-sharded slice of
+the example set** (see :mod:`repro.distributed.sharding`).  A coverage batch
+— N candidate clauses against one example list — is split along the example
 axis: every shard tests all clauses against only its own examples, returns
 one bitset per clause, and the coordinator ORs the bitsets back together in
-input order.  Results are therefore invariant in the shard count, the
-sharding strategy, and the parallelism setting; those knobs only move work.
+input order.  Results are therefore invariant in the shard count and the
+parallelism setting; those knobs only move work.
 
 Failure semantics (the lifecycle-hardening contract):
 
@@ -26,36 +26,23 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import secrets
 import signal
-import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...obs import registry as obs_registry, tracer as obs_tracer
 
-from ..protocol import (
-    SocketTransport,
-    PipeTransport,
-    TransportError,
-    connect,
-    send_auth_proof,
-    verify_auth_proof,
-)
-from ..sharding import DEFAULT_STRATEGY, ShardAssigner, SHARDING_STRATEGIES
+from ..protocol import PipeTransport, TransportError
+from ..sharding import partition_keys
 from ..worker import (
     SATURATION_SPEC_KINDS,
     SPEC_KINDS,
     InstancePayload,
     pipe_worker_main,
-    socket_worker_main,
 )
 
 Row = Tuple[object, ...]
-
-#: Transport selectors accepted by the service and the sharded backend.
-TRANSPORTS = ("pipe", "socket")
 
 
 class ShardFailedError(RuntimeError):
@@ -88,7 +75,7 @@ _SERVICE_SEQ = itertools.count(1)
 
 
 class WorkerHandle:
-    """One shard's transport + (for local workers) its process.
+    """One shard's pipe transport and worker process.
 
     The handle also owns the shard's **reload/batch counters**.  They live
     here — on the coordinator, in the metrics registry — rather than in the
@@ -101,8 +88,6 @@ class WorkerHandle:
         self.index = index
         self.transport = None
         self.process: Optional[multiprocessing.process.BaseProcess] = None
-        self.remote_address: Optional[str] = None
-        self.remote_token: Optional[str] = None
         self.lock = threading.Lock()
         labels = {"service": metrics_scope, "shard": index}
         self._c_respawns = obs_registry().counter("service.shard.respawns", **labels)
@@ -146,7 +131,7 @@ class WorkerHandle:
             if self.transport is None:
                 raise TransportError(f"shard {self.index} has no live transport")
             self.transport.send(message)
-            reply = self.transport.recv()  # repro: noqa[REP004] -- per-worker handle lock serializes send/recv pairs on one pipe/socket; a dead worker is detected by the coordinator's respawn-and-retry path, not by unblocking here
+            reply = self.transport.recv()  # repro: noqa[REP004] -- per-worker handle lock serializes send/recv pairs on one pipe; a dead worker is detected by the coordinator's respawn-and-retry path, not by unblocking here
         status, payload = reply[0], reply[1]
         if len(reply) > 2 and isinstance(reply[2], dict):
             records = reply[2].get("records")
@@ -181,13 +166,7 @@ class EvaluationService:
         (re)build their database from.  Called at every spawn, respawn, and
         reload, so it must reflect the *current* data.
     shards:
-        Number of local workers (ignored for examples already pinned to
-        attached remote workers).
-    strategy:
-        Sharding strategy (``hash``/``round-robin``/``size-balanced``).
-    transport:
-        ``"pipe"`` (multiprocessing pipes) or ``"socket"`` (workers dial a
-        localhost TCP listener — the same codepath remote workers use).
+        Number of worker processes (default :func:`default_shard_count`).
     state_token_fn:
         Optional callable returning a cheap token of the source data's
         version; when it changes between batches every worker is reloaded,
@@ -207,28 +186,15 @@ class EvaluationService:
         self,
         payload_fn: Callable[[], InstancePayload],
         shards: Optional[int] = None,
-        strategy: str = DEFAULT_STRATEGY,
-        transport: str = "pipe",
         state_token_fn: Optional[Callable[[], object]] = None,
         diff_fn: Optional[Callable[[object], Optional[List[object]]]] = None,
     ):
-        if strategy not in SHARDING_STRATEGIES:
-            raise ValueError(
-                f"unknown sharding strategy {strategy!r}; "
-                f"available: {list(SHARDING_STRATEGIES)}"
-            )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; available: {list(TRANSPORTS)}"
-            )
         self.payload_fn = payload_fn
         self.shards = (
             int(shards) if shards is not None else default_shard_count()
         )
         if self.shards < 1:
             raise ValueError(f"need at least one shard, got {self.shards}")
-        self.strategy = strategy
-        self.transport = transport
         self._state_token_fn = state_token_fn
         self._diff_fn = diff_fn
         self._synced_token: object = None
@@ -250,20 +216,13 @@ class EvaluationService:
         # inherited SQLite state (fork + live threads is a deadlock lottery).
         self._context = multiprocessing.get_context("spawn")
         self._handles: List[WorkerHandle] = []
-        self._assigner: Optional[ShardAssigner] = None
-        self._listener: Optional[socket.socket] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._started = False
         self._lock = threading.Lock()
-        # Serializes process spawn + (for sockets) listener accept, so two
-        # shards respawning concurrently from fan-out threads can never
-        # cross-pair a handle with the other shard's worker process.
+        # Serializes spawn + init, so shards respawning concurrently from
+        # fan-out threads start and rebuild their workers one at a time
+        # instead of paying every payload rebuild at once.
         self._spawn_lock = threading.Lock()
-        # Spawn nonce for socket workers: the worker protocol is pickle, so
-        # the coordinator must never unpickle from a dialer that has not
-        # proven it is the process we just spawned (the nonce travels in
-        # the spawn args, never over the network in the clear).
-        self._worker_secret = secrets.token_hex(16)
 
     # Counter reads stay plain integer attributes for callers/tests.
     @property
@@ -293,12 +252,6 @@ class EvaluationService:
             if self._started:
                 return self
             try:
-                if self.transport == "socket":
-                    self._listener = socket.socket(
-                        socket.AF_INET, socket.SOCK_STREAM
-                    )
-                    self._listener.bind(("127.0.0.1", 0))
-                    self._listener.listen(self.shards)
                 payload = self.payload_fn()
                 self._synced_token = (
                     self._state_token_fn() if self._state_token_fn else None
@@ -309,7 +262,6 @@ class EvaluationService:
                     # can terminate it even when the spawn half-completed.
                     self._handles.append(handle)
                     self._spawn_into(handle, payload)
-                self._assigner = ShardAssigner(len(self._handles), self.strategy)
                 self._executor = ThreadPoolExecutor(
                     max_workers=len(self._handles),
                     thread_name_prefix="shard-coordinator",
@@ -319,52 +271,11 @@ class EvaluationService:
                 for handle in self._handles:
                     handle.terminate()
                 self._handles.clear()
-                self._assigner = None
-                if self._listener is not None:
-                    self._listener.close()
-                    self._listener = None
                 if self._executor is not None:
                     self._executor.shutdown(wait=False)
                     self._executor = None
                 raise
         return self
-
-    def attach_remote(
-        self, address: str, timeout: float = 10.0, token: Optional[str] = None
-    ) -> int:
-        """Attach a pre-started remote worker (``python -m
-        repro.distributed.worker --serve HOST:PORT``) as an extra shard.
-
-        Must be called before the first batch (the sticky assigner is sized
-        at first use).  Returns the new shard's index.  A remote shard that
-        fails is *reconnected* (the coordinator cannot respawn a process on
-        another machine) and retried with the same once-only policy.  When
-        the worker was started with ``--auth-token``, pass the matching
-        ``token`` — the coordinator proves it before the worker will decode
-        a single frame.
-        """
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("start() the service before attaching workers")
-            if self._assigner is not None and self._assigner._assignments:
-                raise RuntimeError(
-                    "cannot attach workers after examples have been sharded"
-                )
-            handle = WorkerHandle(len(self._handles), self._metrics_scope)
-            handle.remote_address = address
-            handle.remote_token = token
-            handle.transport = connect(address, timeout=timeout)
-            if token is not None:
-                send_auth_proof(handle.transport._socket, token)
-            self._init_worker(handle, self.payload_fn())
-            self._handles.append(handle)
-            self._assigner = ShardAssigner(len(self._handles), self.strategy)
-            self._executor.shutdown(wait=True)
-            self._executor = ThreadPoolExecutor(
-                max_workers=len(self._handles),
-                thread_name_prefix="shard-coordinator",
-            )
-            return handle.index
 
     def close(self) -> None:
         """Shut every worker down and release the coordinator resources.
@@ -391,9 +302,6 @@ class EvaluationService:
                         handle.lock.release()
                 handle.terminate()
             self._handles.clear()
-            if self._listener is not None:
-                self._listener.close()
-                self._listener = None
             if self._executor is not None:
                 self._executor.shutdown(wait=False)
                 self._executor = None
@@ -409,14 +317,8 @@ class EvaluationService:
     # Spawning / recovery
     # ------------------------------------------------------------------ #
     def _spawn_into(self, handle: WorkerHandle, payload: InstancePayload) -> None:
-        """(Re)create the local worker process behind ``handle``."""
+        """(Re)create the worker process behind ``handle``."""
         with self._spawn_lock:
-            self._spawn_into_locked(handle, payload)
-
-    def _spawn_into_locked(
-        self, handle: WorkerHandle, payload: InstancePayload
-    ) -> None:
-        if self.transport == "pipe":
             parent_conn, child_conn = self._context.Pipe(duplex=True)
             process = self._context.Process(
                 target=pipe_worker_main,
@@ -427,43 +329,10 @@ class EvaluationService:
             process.start()
             child_conn.close()
             handle.transport = PipeTransport(parent_conn)
-        else:
-            host, port = self._listener.getsockname()
-            process = self._context.Process(
-                target=socket_worker_main,
-                args=(host, port, self._worker_secret),
-                daemon=True,
-                name=f"repro-shard-{handle.index}",
-            )
-            process.start()
-            self._listener.settimeout(30)
-            conn = None
-            # A stray dialer hitting the loopback listener must not be
-            # mistaken for our worker: only a connection proving the spawn
-            # nonce gets its pickle frames decoded.
-            for _attempt in range(5):
-                conn, _peer = self._listener.accept()
-                if verify_auth_proof(conn, self._worker_secret):
-                    break
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                conn = None
-            if conn is None:
-                process.terminate()
-                raise TransportError(
-                    f"shard {handle.index}: no authenticated worker dial-back"
-                )
-            conn.settimeout(None)
-            handle.transport = SocketTransport(conn)
-        handle.process = process
-        self._init_worker(handle, payload)
-
-    def _init_worker(self, handle: WorkerHandle, payload: InstancePayload) -> None:
-        info = handle.request(("init", payload))
-        if not isinstance(info, dict) or "pid" not in info:
-            raise TransportError(f"shard {handle.index} failed to initialize")
+            handle.process = process
+            info = handle.request(("init", payload))
+            if not isinstance(info, dict) or "pid" not in info:
+                raise TransportError(f"shard {handle.index} failed to initialize")
 
     def _respawn(self, handle: WorkerHandle) -> None:
         """Bring a dead shard back from its snapshot payload."""
@@ -477,15 +346,7 @@ class EvaluationService:
         # for this shard — counted on the surviving handle, not in the dead
         # worker, so the reload history is not lost with the process.
         handle._c_reloads_full.inc()
-        payload = self.payload_fn()
-        if handle.remote_address is not None:
-            handle.transport = connect(handle.remote_address, timeout=10.0)
-            token = getattr(handle, "remote_token", None)
-            if token is not None:
-                send_auth_proof(handle.transport._socket, token)
-            self._init_worker(handle, payload)
-        else:
-            self._spawn_into(handle, payload)
+        self._spawn_into(handle, self.payload_fn())
 
     def _request_with_retry(
         self, handle: WorkerHandle, message: Tuple[str, object]
@@ -567,15 +428,15 @@ class EvaluationService:
         items: Sequence[object],
         payload_for: Callable[[List[object]], object],
     ) -> Tuple[List[List[int]], List[Tuple[int, object]]]:
-        """Sticky example-axis fan-out shared by every per-item request kind.
+        """Example-axis fan-out shared by every per-item request kind.
 
-        Partitions ``items`` by ``keys`` through the sticky assigner,
+        Partitions ``items`` by ``keys`` with hash sharding,
         queries every busy shard concurrently with the respawn-once retry
         policy, and returns the partition buckets plus ``(shard, reply)``
         pairs — keeping the retry and input-order-reassembly policy in one
         place for coverage and saturation batches alike.
         """
-        buckets = self._assigner.partition(keys)
+        buckets = partition_keys(keys, self.shards)
         # Executor threads do not inherit the caller's contextvars, so the
         # trace context is captured here and re-activated inside run_shard —
         # otherwise the per-shard spans would detach from the batch's trace.
@@ -681,7 +542,7 @@ class EvaluationService:
         ``spec`` is a picklable builder recipe (``saturation_spec()`` of a
         bottom-clause builder); each worker instantiates it once and keeps
         its compiled IND/theory-constant metadata warm.  The example axis is
-        split with the same sticky assignment coverage uses, so an example
+        split with the same hash sharding coverage uses, so an example
         is always saturated on the shard that owns it, and the constructed
         clauses are shipped back and reassembled into input order.
         """
@@ -810,8 +671,7 @@ class EvaluationService:
     def __repr__(self) -> str:
         state = "started" if self._started else "cold"
         return (
-            f"EvaluationService({self.shards} shards, {self.strategy!r}, "
-            f"{self.transport!r}, {state})"
+            f"EvaluationService({self.shards} shards, {state})"
         )
 
 
@@ -841,15 +701,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--shards", type=int, default=None,
         help="worker processes per registered instance "
              "(default: one per core, capped at 4)",
-    )
-    parser.add_argument(
-        "--strategy", default=DEFAULT_STRATEGY,
-        choices=sorted(SHARDING_STRATEGIES),
-        help="example-sharding strategy for the worker fleets",
-    )
-    parser.add_argument(
-        "--worker-transport", default="pipe", choices=TRANSPORTS,
-        help="transport between the server and its local workers",
     )
     parser.add_argument(
         "--max-instances", type=int, default=32,
@@ -888,8 +739,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         host,
         port,
         shards=args.shards,
-        strategy=args.strategy,
-        transport=args.worker_transport,
         max_instances=args.max_instances,
         auth_token=args.auth_token,
         memory_budget_bytes=(

@@ -1,32 +1,18 @@
-"""Sharding strategies: how the example set is partitioned across workers.
+"""Hash sharding: how the example set is partitioned across workers.
 
-A strategy answers "which shard owns this example?".  All three are
-deterministic in the coordinator process, and — because the service merges
-per-shard results back into input order — the *coverage results* are
-identical for every strategy and every shard count; the strategy only moves
-work (and saturation-store warmth) between workers.
-
-* ``hash`` — stable content hash of the example key.  An example always
-  lands on the same shard regardless of batch composition, so per-example
-  worker state (saturations) stays warm across batches, folds, and service
-  restarts.  The default.
-* ``round-robin`` — i-th distinct example to shard ``i % shards``.  Perfect
-  count balance, but assignment depends on arrival order.
-* ``size-balanced`` — greedy: each new example goes to the shard with the
-  smallest accumulated weight (weight = the example's encoded size, a proxy
-  for its saturation footprint).  Best when example sizes are skewed.
+An example's shard is the stable content hash of its key modulo the shard
+count.  It is deterministic across coordinator processes and independent of
+batch composition, so an example always lands on the same shard and
+per-example worker state (saturations) stays warm across batches, folds,
+and service restarts.  Because the service merges per-shard results back
+into input order, the *coverage results* are identical for every shard
+count; sharding only moves work between workers.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
-
-#: Names accepted by the service/backend/harness ``strategy`` knobs.
-SHARDING_STRATEGIES: Tuple[str, ...] = ("hash", "round-robin", "size-balanced")
-
-#: The strategy backends/services use when none is requested.
-DEFAULT_STRATEGY = "hash"
+from typing import Hashable, List, Sequence
 
 
 def stable_hash(key: object) -> int:
@@ -40,79 +26,14 @@ def stable_hash(key: object) -> int:
     return zlib.crc32(repr(key).encode("utf-8", "backslashreplace"))
 
 
-def default_weight(key: object) -> int:
-    """Proxy for an example's evaluation cost: its encoded size."""
-    return max(1, len(repr(key)))
+def partition_keys(keys: Sequence[Hashable], shards: int) -> List[List[int]]:
+    """Indices of ``keys`` per shard: ``stable_hash(key) % shards``.
 
-
-class ShardAssigner:
-    """Sticky online shard assignment for one service.
-
-    The first time a key is seen it is placed by the configured strategy;
-    afterwards it always maps to the same shard, so long-lived worker state
-    (materialized saturations) is never split or rebuilt because a later
-    batch happened to contain a different mix of examples.
+    Every index appears exactly once, and duplicate keys share a bucket.
     """
-
-    def __init__(
-        self,
-        shards: int,
-        strategy: str = "hash",
-        weight_fn: Optional[Callable[[object], int]] = None,
-    ):
-        if shards < 1:
-            raise ValueError(f"need at least one shard, got {shards}")
-        if strategy not in SHARDING_STRATEGIES:
-            raise ValueError(
-                f"unknown sharding strategy {strategy!r}; "
-                f"available: {list(SHARDING_STRATEGIES)}"
-            )
-        self.shards = int(shards)
-        self.strategy = str(strategy)
-        self._weight_fn = weight_fn or default_weight
-        self._assignments: Dict[Hashable, int] = {}
-        self._loads: List[int] = [0] * self.shards
-        self._next_round_robin = 0
-
-    def assign(self, key: Hashable) -> int:
-        """Shard index of ``key`` (assigning it on first sight)."""
-        shard = self._assignments.get(key)
-        if shard is not None:
-            return shard
-        if self.strategy == "hash":
-            shard = stable_hash(key) % self.shards
-        elif self.strategy == "round-robin":
-            shard = self._next_round_robin
-            self._next_round_robin = (self._next_round_robin + 1) % self.shards
-        else:  # size-balanced
-            shard = min(range(self.shards), key=lambda s: (self._loads[s], s))
-        self._assignments[key] = shard
-        self._loads[shard] += self._weight_fn(key)
-        return shard
-
-    def partition(self, keys: Sequence[Hashable]) -> List[List[int]]:
-        """Indices of ``keys`` per shard (every index appears exactly once)."""
-        buckets: List[List[int]] = [[] for _ in range(self.shards)]
-        for index, key in enumerate(keys):
-            buckets[self.assign(key)].append(index)
-        return buckets
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardAssigner({self.shards} shards, {self.strategy!r}, "
-            f"{len(self._assignments)} keys)"
-        )
-
-
-def partition_keys(
-    keys: Sequence[Hashable],
-    shards: int,
-    strategy: str = "hash",
-    weight_fn: Optional[Callable[[object], int]] = None,
-) -> List[List[int]]:
-    """One-shot partition of ``keys`` into ``shards`` buckets of indices.
-
-    Equivalent to folding a fresh :class:`ShardAssigner` over the keys;
-    duplicate keys land in the bucket of their first occurrence.
-    """
-    return ShardAssigner(shards, strategy, weight_fn).partition(keys)
+    if shards < 1:
+        raise ValueError(f"need at least one shard, got {shards}")
+    buckets: List[List[int]] = [[] for _ in range(shards)]
+    for index, key in enumerate(keys):
+        buckets[stable_hash(key) % shards].append(index)
+    return buckets

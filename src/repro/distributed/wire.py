@@ -20,10 +20,9 @@ path ever reaches ``pickle.loads``.  Encoding is deterministic (set members
 are ordered by their encoded form) so two structurally-identical payloads
 produce identical bytes; the server's batch coalescer keys on that digest.
 
-The trusted in-process pipe/loopback path to shard workers intentionally
-keeps the pickle codec (see ``protocol.PickleCodec``): workers are spawned by
-the coordinator, and the loopback socket variant is nonce-verified before any
-pickle flows.
+The trusted pipe path to shard workers intentionally keeps the pickle codec
+(see ``protocol.PickleCodec``): workers are spawned by the coordinator and
+their frames never leave a multiprocessing pipe.
 """
 
 from __future__ import annotations

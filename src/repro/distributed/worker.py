@@ -10,40 +10,25 @@ the process, so repeated batches (generations of a covering run, folds of a
 cross-validation) hit a warm store instead of rebuilding it.
 
 Requests and replies are ``(kind, payload)`` tuples over the length-prefixed
-pickle protocol (:mod:`repro.distributed.protocol`).  Replies are
-``("ok", result)`` or ``("error", (type, message, traceback))`` — the worker
-never lets an evaluation exception kill the process.  Coverage replies are
+pickle protocol (:mod:`repro.distributed.protocol`) on a multiprocessing
+pipe.  Replies are ``("ok", result)`` or ``("error", (type, message,
+traceback))`` — the worker never lets an evaluation exception kill the
+process.  Coverage replies are
 **bitsets**: one integer per clause, bit ``j`` set when the clause covers
 the ``j``-th example/candidate of the request's shard-local slice.
 
-Entry points:
-
-* :func:`pipe_worker_main` — local worker on a multiprocessing pipe;
-* :func:`socket_worker_main` — local worker that dials back to the
-  coordinator's listener over TCP (same codepath a remote worker uses);
-* ``python -m repro.distributed.worker --serve HOST:PORT`` — a standalone
-  worker on another machine; the coordinator attaches to it with
-  :meth:`EvaluationService.attach_remote <repro.distributed.service.EvaluationService>`.
+The process entry point is :func:`pipe_worker_main`; the coordinator
+(:class:`~repro.distributed.service.EvaluationService`) spawns one per shard.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import pickle
-import socket
-import sys
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .protocol import (
-    PipeTransport,
-    SocketTransport,
-    TransportError,
-    parse_address,
-    send_auth_proof,
-    verify_auth_proof,
-)
+from .protocol import PipeTransport, TransportError
 
 Row = Tuple[object, ...]
 
@@ -391,105 +376,15 @@ def serve_loop(transport) -> None:
             break
 
 
-def _label_worker_process() -> None:
-    """Stamp span records from this process as shard-worker spans."""
+def pipe_worker_main(connection) -> None:
+    """Process target for a shard worker on a multiprocessing pipe."""
     from ..obs import tracer as obs_tracer
 
+    # Span records from this process are stamped as shard-worker spans.
     obs_tracer().process = f"worker-{os.getpid()}"
-
-
-def pipe_worker_main(connection) -> None:
-    """Process target for a pipe-transport worker."""
-    _label_worker_process()
     transport = PipeTransport(connection)
     try:
         serve_loop(transport)
     finally:
         transport.close()
 
-
-def socket_worker_main(host: str, port: int, secret: Optional[str] = None) -> None:
-    """Process target for a socket-transport worker: dial the coordinator.
-
-    When the coordinator minted a spawn ``secret``, the worker proves it
-    with a raw-bytes preamble before any pickle frame flows — the
-    coordinator will not unpickle from a dialer that cannot.
-    """
-    _label_worker_process()
-    sock = socket.create_connection((host, port))
-    if secret is not None:
-        send_auth_proof(sock, secret)
-    transport = SocketTransport(sock)
-    try:
-        serve_loop(transport)
-    finally:
-        transport.close()
-
-
-def serve(
-    address: str,
-    max_sessions: Optional[int] = None,
-    auth_token: Optional[str] = None,
-) -> None:
-    """Run a standalone worker listening on ``host:port`` (remote topology).
-
-    Accepts one coordinator at a time and serves it until it disconnects;
-    then (unless ``max_sessions`` is exhausted) goes back to accepting, so a
-    long-lived remote worker survives coordinator restarts.  This seam
-    speaks pickle, so with ``auth_token`` set the worker demands the auth
-    preamble *before decoding anything* and silently drops dialers that
-    fail it (``EvaluationService.attach_remote(..., token=...)`` sends it).
-    """
-    _label_worker_process()
-    host, port = parse_address(address)
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(1)
-    print(f"repro shard worker pid={os.getpid()} listening on "
-          f"{listener.getsockname()[0]}:{listener.getsockname()[1]}", flush=True)
-    sessions = 0
-    try:
-        while max_sessions is None or sessions < max_sessions:
-            conn, _peer = listener.accept()
-            if auth_token is not None and not verify_auth_proof(conn, auth_token):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                continue  # unauthenticated dialer; not a session
-            transport = SocketTransport(conn)
-            try:
-                serve_loop(transport)
-            finally:
-                transport.close()
-            sessions += 1
-    finally:
-        listener.close()
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="standalone shard worker for the repro evaluation service"
-    )
-    parser.add_argument(
-        "--serve", metavar="HOST:PORT", required=True,
-        help="listen for a coordinator on this address",
-    )
-    parser.add_argument(
-        "--max-sessions", type=int, default=None,
-        help="exit after serving this many coordinator sessions (default: forever)",
-    )
-    parser.add_argument(
-        "--auth-token", default=None,
-        help="require coordinators to prove this shared secret before any "
-             "frame is decoded (the worker protocol is pickle; never expose "
-             "it without a token except on a trusted link)",
-    )
-    args = parser.parse_args(argv)
-    serve(args.serve, max_sessions=args.max_sessions, auth_token=args.auth_token)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

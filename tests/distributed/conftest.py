@@ -13,7 +13,7 @@ from repro.castor.bottom_clause import (
     CastorBottomClauseConfig,
 )
 from repro.datasets import uwcse
-from repro.distributed import EvaluationService, InstancePayload
+from repro.distributed import EvaluationService, InstancePayload, partition_keys
 
 
 def make_payload_fn(instance):
@@ -51,10 +51,14 @@ def small_uwcse():
 
 @pytest.fixture
 def pipe_service(small_uwcse):
-    """A started two-shard pipe-transport service over the small instance."""
-    _bundle, instance, _examples, _clauses = small_uwcse
-    service = EvaluationService(
-        make_payload_fn(instance), shards=2, strategy="round-robin"
-    )
+    """A started two-shard service over the small instance.
+
+    Every shard owns at least one example, so the failure tests that kill
+    a given shard always send it work.
+    """
+    _bundle, instance, examples, _clauses = small_uwcse
+    keys = [(e.target, e.values, e.positive) for e in examples]
+    assert all(partition_keys(keys, 2))
+    service = EvaluationService(make_payload_fn(instance), shards=2)
     with service:
         yield service

@@ -195,7 +195,7 @@ def test_sharded_fleet_survives_many_update_rounds():
     rng = random.Random(29)
 
     warm = DatabaseInstance(
-        schema, backend=ShardedSQLiteBackend(shards=2, strategy="hash")
+        schema, backend=ShardedSQLiteBackend(shards=2)
     )
     try:
         # A payload two orders of magnitude above the per-round churn, so

@@ -12,6 +12,9 @@ The acceptance properties of the ``materialize_saturations`` request:
 
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 
 from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomClauseConfig
@@ -28,7 +31,7 @@ def clause_strings(clauses):
 @pytest.fixture
 def sharded_instance(small_uwcse):
     _bundle, instance, _examples, _clauses = small_uwcse
-    converted = instance.with_backend(ShardedSQLiteBackend(shards=2, strategy="hash"))
+    converted = instance.with_backend(ShardedSQLiteBackend(shards=2))
     yield converted
     converted.backend.close()
 
@@ -52,6 +55,32 @@ def test_sharded_saturation_matches_in_process(small_uwcse, shards):
         assert variablized == clause_strings(
             CastorBottomClauseBuilder(instance, config=config).build_many(examples)
         )
+    finally:
+        converted.backend.close()
+
+
+def test_killed_worker_is_respawned_mid_materialization(small_uwcse):
+    """Saturation batches share the respawn-once policy: a shard whose
+    worker died is rebuilt from the payload and its slice retried."""
+    bundle, instance, _examples, _clauses = small_uwcse
+    examples = bundle.examples.positives
+    config = CastorBottomClauseConfig()
+    reference = clause_strings(
+        CastorBottomClauseBuilder(instance, config=config).build_ground_many(examples)
+    )
+    converted = instance.with_backend(ShardedSQLiteBackend(shards=2))
+    try:
+        engine = BatchSaturationEngine(
+            CastorBottomClauseBuilder(converted, config=config)
+        )
+        assert clause_strings(engine.build_ground_batch(examples)) == reference
+        service = converted.backend.coverage_service()
+        victim = service._handles[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.process.join(timeout=5)
+        assert not victim.process.is_alive()
+        assert clause_strings(engine.build_ground_batch(examples)) == reference
+        assert victim.respawns == 1
     finally:
         converted.backend.close()
 

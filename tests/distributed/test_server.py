@@ -156,6 +156,25 @@ def test_concurrent_sessions_share_the_server(tiny_bundle, server):
 # --------------------------------------------------------------------- #
 # Registry behavior through the raw client
 # --------------------------------------------------------------------- #
+def test_hello_reports_the_fleet_size_and_handles(server):
+    with ServiceClient(server.address) as client:
+        hello = client.hello()
+    assert set(hello) == {"pid", "shards", "handles"}
+    assert hello["shards"] == 2 and hello["pid"] == os.getpid()
+
+
+def test_remote_backend_without_a_server_says_how_to_bind_one():
+    backend = RemoteBackend()
+    try:
+        with pytest.raises(RuntimeError) as excinfo:
+            backend.coverage_service()
+        message = str(excinfo.value)
+        assert "LearningSession.connect(address)" in message
+        assert "RemoteBackend(address=" in message
+    finally:
+        backend.close()
+
+
 def test_register_probe_and_unregister(server):
     schema = Schema([RelationSchema("r", ["a", "b"])], name="probe")
     payload = InstancePayload(schema, {"r": [(1, 2), (3, 4)]})

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import os
 import signal
-import subprocess
-import sys
 import time
 
 import pytest
@@ -70,6 +68,25 @@ def test_killed_worker_is_respawned_and_batch_retried(small_uwcse, pipe_service)
     assert pipe_service.worker_pids()[0] != victim_pid
 
 
+def test_killing_every_worker_respawns_the_whole_fleet(small_uwcse, pipe_service):
+    """Both shards lose their worker at once: the fan-out threads respawn
+    them concurrently (one spawn at a time) and the batch still answers."""
+    _bundle, instance, examples, clauses = small_uwcse
+    expected = reference_values(instance, clauses, examples)
+    assert batch_values(pipe_service, clauses, examples) == expected
+
+    victims = pipe_service.worker_pids()
+    for pid in victims:
+        os.kill(pid, signal.SIGKILL)
+    for handle in pipe_service._handles:
+        handle.process.join(timeout=5)
+        assert not handle.process.is_alive()
+
+    assert batch_values(pipe_service, clauses, examples) == expected
+    assert [h.respawns for h in pipe_service._handles] == [1, 1]
+    assert not set(pipe_service.worker_pids()) & set(victims)
+
+
 def test_shard_failed_error_when_respawn_cannot_recover(
     small_uwcse, pipe_service, monkeypatch
 ):
@@ -121,17 +138,6 @@ def test_worker_exception_surfaces_as_worker_error_without_retry(
     )
 
 
-def test_socket_transport_matches_pipe_results(small_uwcse):
-    _bundle, instance, examples, clauses = small_uwcse
-    service = EvaluationService(
-        make_payload_fn(instance), shards=2, transport="socket"
-    )
-    with service:
-        assert batch_values(service, clauses, examples) == reference_values(
-            instance, clauses, examples
-        )
-
-
 def test_mutations_are_visible_after_worker_reload(simple_schema):
     """The staleness token reloads workers when the source data changes."""
     from repro.database.instance import DatabaseInstance
@@ -158,29 +164,36 @@ def test_mutations_are_visible_after_worker_reload(simple_schema):
         assert after == [(("a1",), ("a2",))]
 
 
-def test_remote_serve_worker_can_be_attached(small_uwcse, tmp_path):
-    """A standalone ``--serve`` worker on another "host" joins the fleet."""
+@pytest.mark.parametrize("failing_shard", [0, 1])
+def test_failed_start_leaves_no_worker_and_a_retry_serves(
+    small_uwcse, monkeypatch, failing_shard
+):
+    """A spawn failure mid-fleet tears down every worker already started
+    (the failing shard's own half-spawned one included); the service stays
+    cold, and a retried ``start()`` builds a whole fleet from scratch."""
     _bundle, instance, examples, clauses = small_uwcse
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.distributed.worker",
-         "--serve", "127.0.0.1:0", "--max-sessions", "1"],
-        stdout=subprocess.PIPE,
-        env=env,
-        text=True,
-    )
-    try:
-        banner = proc.stdout.readline()
-        address = banner.strip().rsplit("listening on ", 1)[1]
-        service = EvaluationService(make_payload_fn(instance), shards=1)
-        with service:
-            remote_index = service.attach_remote(address)
-            assert remote_index == 1
-            assert batch_values(service, clauses, examples) == reference_values(
-                instance, clauses, examples
-            )
-    finally:
-        proc.terminate()
-        proc.wait(timeout=10)
+    service = EvaluationService(make_payload_fn(instance), shards=2)
+    real_spawn = service._spawn_into
+    spawned = []
+
+    def failing_spawn(handle, payload):
+        real_spawn(handle, payload)
+        spawned.append(handle.process)
+        if handle.index == failing_shard:
+            raise TransportError(f"simulated spawn failure on shard {handle.index}")
+
+    monkeypatch.setattr(service, "_spawn_into", failing_spawn)
+    with pytest.raises(TransportError, match=f"shard {failing_shard}"):
+        service.start()
+    assert len(spawned) == failing_shard + 1
+    assert not any(process.is_alive() for process in spawned)
+    assert service._handles == [] and not service._started
+    assert service.worker_pids() == []
+
+    monkeypatch.setattr(service, "_spawn_into", real_spawn)
+    with service:
+        pids = service.worker_pids()
+        assert len(pids) == 2 and all(pid is not None for pid in pids)
+        assert batch_values(service, clauses, examples) == reference_values(
+            instance, clauses, examples
+        )

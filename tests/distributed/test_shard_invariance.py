@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from repro.distributed import SHARDING_STRATEGIES, ShardedSQLiteBackend
+from repro.distributed import ShardedSQLiteBackend
 from repro.learning.coverage import (
     BatchCoverageEngine,
     QueryCoverageEngine,
@@ -76,12 +76,9 @@ def test_subsumption_coverage_is_shard_and_parallelism_invariant(
     assert result_bytes(got) == reference["subsumption"]
 
 
-@pytest.mark.parametrize("strategy", SHARDING_STRATEGIES)
-def test_every_sharding_strategy_gives_identical_results(workload, strategy):
+def test_a_fleet_built_from_a_fleet_gives_identical_results(workload):
     reference, sharded, examples, clauses = workload
-    instance = sharded[2].with_backend(
-        ShardedSQLiteBackend(shards=2, strategy=strategy)
-    )
+    instance = sharded[2].with_backend(ShardedSQLiteBackend(shards=2))
     try:
         got = BatchCoverageEngine(
             SubsumptionCoverageEngine(instance)
@@ -101,6 +98,24 @@ def test_sharded_backend_reports_sqlite_storage():
     assert backend.name == "sqlite"
     assert backend.supports_compiled_queries
     backend.close()
+
+
+def test_fleet_workers_rebuild_on_sqlite_with_the_default_pool():
+    """The payload pins the worker storage: ``sqlite`` whose read pool
+    defaults to ``default_pool_size()`` on the worker's own machine."""
+    from repro.database import RelationSchema, Schema
+    from repro.database.instance import DatabaseInstance
+
+    schema = Schema([RelationSchema("r", ["a", "b"])], name="payload")
+    instance = DatabaseInstance(schema, backend=ShardedSQLiteBackend(shards=1))
+    instance.add_tuples("r", [(1, 2), (3, 4)])
+    try:
+        payload = instance.backend._payload()
+        assert (payload.backend, payload.pool_size) == ("sqlite", None)
+        assert payload.schema is schema
+        assert sorted(payload.rows["r"]) == [(1, 2), (3, 4)]
+    finally:
+        instance.backend.close()
 
 
 def test_dropped_backend_releases_its_workers(small_uwcse):

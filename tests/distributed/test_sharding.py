@@ -1,4 +1,4 @@
-"""Unit tests: sharding strategies and the length-prefixed pickle protocol."""
+"""Unit tests: hash sharding and the length-prefixed frame protocol."""
 
 from __future__ import annotations
 
@@ -7,15 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import (
-    SHARDING_STRATEGIES,
-    ShardAssigner,
+    JsonWireCodec,
     decode_frame,
     encode_frame,
     partition_keys,
     stable_hash,
 )
 from repro.distributed.protocol import TransportError
-from repro.distributed.sharding import default_weight
 
 
 KEYS = [("advisedby", (f"s{i}", f"p{i % 3}"), True) for i in range(20)]
@@ -27,75 +25,54 @@ def assert_is_partition(buckets, count):
     assert seen == list(range(count))
 
 
-@pytest.mark.parametrize("strategy", SHARDING_STRATEGIES)
 @pytest.mark.parametrize("shards", [1, 2, 4, 7])
-def test_every_strategy_yields_a_true_partition(strategy, shards):
-    buckets = partition_keys(KEYS, shards, strategy)
+def test_partition_keys_yields_a_true_partition(shards):
+    buckets = partition_keys(KEYS, shards)
     assert len(buckets) == shards
     assert_is_partition(buckets, len(KEYS))
 
 
-@pytest.mark.parametrize("strategy", SHARDING_STRATEGIES)
-def test_partitioning_is_deterministic(strategy):
-    first = partition_keys(KEYS, 3, strategy)
-    second = partition_keys(KEYS, 3, strategy)
-    assert first == second
+def test_partitioning_is_deterministic():
+    assert partition_keys(KEYS, 3) == partition_keys(KEYS, 3)
 
 
 def test_hash_assignment_is_independent_of_arrival_order():
-    """The hash strategy pins a key to its shard regardless of batch mix."""
-    forward = ShardAssigner(4, "hash")
-    backward = ShardAssigner(4, "hash")
-    assignments_fwd = {key: forward.assign(key) for key in KEYS}
-    assignments_bwd = {key: backward.assign(key) for key in reversed(KEYS)}
-    assert assignments_fwd == assignments_bwd
+    """Hash sharding pins a key to its shard regardless of batch mix."""
+
+    def shard_of(keys):
+        return {
+            keys[index]: shard
+            for shard, bucket in enumerate(partition_keys(keys, 4))
+            for index in bucket
+        }
+
+    assert shard_of(KEYS) == shard_of(list(reversed(KEYS)))
 
 
 def test_stable_hash_is_not_process_salted():
     # Known value pinned down: CRC32 of the repr, which PYTHONHASHSEED
     # cannot perturb (unlike builtin hash of strings).
-    key = ("advisedby", ("s1", "p2"), True)
-    assert stable_hash(key) == stable_hash(("advisedby", ("s1", "p2"), True))
-    assert 0 <= stable_hash(key) < 2**32
+    assert stable_hash(("advisedby", ("s1", "p2"), True)) == 366298622
 
 
-def test_round_robin_balances_counts_exactly():
-    buckets = partition_keys(KEYS, 4, "round-robin")
-    assert [len(b) for b in buckets] == [5, 5, 5, 5]
+def test_partition_keys_pins_the_shard_map():
+    """The shard every example lands on is fixed: warm worker saturations
+    stay on the shard that built them across releases."""
+    assert partition_keys(KEYS, 2) == [
+        [0, 2, 3, 6, 8, 9, 10, 11, 13, 14, 15, 16, 17, 19],
+        [1, 4, 5, 7, 12, 18],
+    ]
+    assert partition_keys(KEYS, 4) == [
+        [2, 3, 8, 9, 10, 14, 15, 16],
+        [1, 5, 7, 12, 18],
+        [0, 6, 11, 13, 17, 19],
+        [4],
+    ]
 
 
-def test_round_robin_is_sticky_for_duplicate_keys():
-    assigner = ShardAssigner(3, "round-robin")
-    first = assigner.assign(KEYS[0])
-    assigner.assign(KEYS[1])
-    assigner.assign(KEYS[2])
-    # Re-assigning an already-seen key must not consume a new slot.
-    assert assigner.assign(KEYS[0]) == first
-    buckets = assigner.partition(KEYS)
-    assert_is_partition(buckets, len(KEYS))
-
-
-def test_size_balanced_accounts_for_weights():
-    # One huge key followed by small ones: the greedy strategy must route
-    # the small ones away from the loaded shard.
-    keys = ["x" * 1000, "a", "b", "c"]
-    buckets = partition_keys(keys, 2, "size-balanced")
-    heavy_shard = next(s for s, bucket in enumerate(buckets) if 0 in bucket)
-    assert buckets[1 - heavy_shard] == [1, 2, 3]
-
-
-def test_size_balanced_custom_weight_fn():
-    weights = {"a": 100, "b": 1, "c": 1, "d": 1}
-    buckets = partition_keys(list(weights), 2, "size-balanced", weights.__getitem__)
-    assert sorted(map(len, buckets)) == [1, 3]
-    assert default_weight("abc") >= 1
-
-
-def test_assigner_rejects_bad_configuration():
+def test_partition_rejects_zero_shards():
     with pytest.raises(ValueError):
-        ShardAssigner(0, "hash")
-    with pytest.raises(ValueError):
-        ShardAssigner(2, "no-such-strategy")
+        partition_keys(KEYS, 0)
 
 
 # --------------------------------------------------------------------- #
@@ -109,21 +86,34 @@ key_strategy = st.tuples(
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    keys=st.lists(key_strategy, max_size=40),
-    shards=st.integers(1, 6),
-    strategy=st.sampled_from(SHARDING_STRATEGIES),
-)
-def test_partition_invariants_hold_for_any_input(keys, shards, strategy):
-    buckets = partition_keys(keys, shards, strategy)
+@given(keys=st.lists(key_strategy, max_size=40), shards=st.integers(1, 6))
+def test_partition_invariants_hold_for_any_input(keys, shards):
+    buckets = partition_keys(keys, shards)
     assert len(buckets) == shards
     assert_is_partition(buckets, len(keys))
-    # Duplicate keys are sticky: all occurrences share one bucket.
+    # Duplicate keys share a bucket.
     first_bucket = {}
     for shard, bucket in enumerate(buckets):
         for index in bucket:
             shard_of = first_bucket.setdefault(keys[index], shard)
             assert shard_of == shard
+
+
+@settings(max_examples=50, deadline=None)
+@given(keys=st.lists(key_strategy, max_size=40), data=st.data())
+def test_no_reordering_of_a_batch_moves_a_key(keys, data):
+    """A key's shard depends on the key alone, never on arrival order."""
+    shards = data.draw(st.integers(1, 6))
+    shuffled = data.draw(st.permutations(keys))
+
+    def shard_of(batch):
+        return {
+            batch[index]: shard
+            for shard, bucket in enumerate(partition_keys(batch, shards))
+            for index in bucket
+        }
+
+    assert shard_of(keys) == shard_of(shuffled)
 
 
 # --------------------------------------------------------------------- #
@@ -195,7 +185,8 @@ def test_socket_transport_surfaces_timeouts_as_transport_error():
     listener.listen(1)
     host, port = listener.getsockname()
     transport = connect_transport(
-        f"{host}:{port}", timeout=5.0, request_timeout=0.2
+        f"{host}:{port}", timeout=5.0, request_timeout=0.2,
+        codec=JsonWireCodec(),
     )
     try:
         with pytest.raises(TransportError, match="timed out"):
@@ -203,3 +194,26 @@ def test_socket_transport_surfaces_timeouts_as_transport_error():
     finally:
         transport.close()
         listener.close()
+
+
+def test_connect_has_no_default_codec():
+    """``connect`` refuses to open a socket transport without a codec."""
+    from repro.distributed.protocol import connect as connect_transport
+
+    with pytest.raises(TypeError):
+        connect_transport("127.0.0.1:1", timeout=0.1)
+
+
+def test_socket_transport_has_no_default_codec():
+    """Pickle never reaches a socket by default: the codec is required."""
+    import socket as socket_module
+
+    from repro.distributed.protocol import SocketTransport
+
+    left, right = socket_module.socketpair()
+    try:
+        with pytest.raises(TypeError):
+            SocketTransport(left)
+    finally:
+        left.close()
+        right.close()

@@ -15,7 +15,6 @@ from repro.database.sqlite_backend import SQLiteBackend, default_pool_size
 from repro.datasets import hiv, imdb, uwcse
 from repro.datasets.base import DatasetBundle
 from repro.distributed import ShardedSQLiteBackend
-from repro.distributed.sharding import DEFAULT_STRATEGY
 from repro.experiments.harness import LearnerSpec, run_variant
 from repro.learning.bottom_clause import BottomClauseConfig
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
@@ -303,33 +302,32 @@ def test_shards_place_sqlite_on_a_fleet_with_the_default_topology(tiny_bundle):
         assert type(backend) is ShardedSQLiteBackend
         assert prepared.backend_name == "sqlite"
         assert backend.shards == 2
-        assert backend.strategy == DEFAULT_STRATEGY
-        assert backend.transport == "pipe"
         assert backend.pool_size == default_pool_size()
 
 
-def test_sharded_placement_learns_the_memory_definitions(tiny_bundle):
-    """Placement only moves work: Castor and FOIL learn byte-identical
-    definitions on a two-shard fleet and in memory."""
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("kind", ["castor", "progolem", "golem", "foil"])
+def test_sharded_placement_learns_the_memory_definitions(tiny_bundle, kind, shards):
+    """Placement only moves work: every learner learns a byte-identical
+    definition on a fleet and in memory."""
     variant = tiny_bundle.variant_names[0]
     schema = tiny_bundle.schema(variant)
     # A private copy: the memory session prepares (and so manages) it.
     instance = tiny_bundle.instance(variant).copy()
 
-    def learn_all(config):
+    def learn(config):
         with LearningSession(config) as session:
-            definitions = [
-                str(session.learner(kind, schema).learn(instance, tiny_bundle.examples))
-                for kind in ("castor", "foil")
-            ]
+            definition = str(
+                session.learner(kind, schema).learn(instance, tiny_bundle.examples)
+            )
             stats = session.evaluation_stats()
-            return definitions, session.prepare(instance).backend, stats
+            return definition, session.prepare(instance).backend, stats
 
-    expected, _, _ = learn_all(SessionConfig(backend="memory"))
-    sharded, backend, stats = learn_all(SessionConfig(backend="sqlite", shards=2))
+    expected, _, _ = learn(SessionConfig(backend="memory"))
+    sharded, backend, stats = learn(SessionConfig(backend="sqlite", shards=shards))
     assert sharded == expected
     assert isinstance(backend, ShardedSQLiteBackend)
-    assert backend.shards == 2 and backend.name == "sqlite"
+    assert backend.shards == shards and backend.name == "sqlite"
     assert stats["batches_served"] > 0
 
 
