@@ -8,11 +8,9 @@ UW-CSE and HIV workloads:
   the SQLite backends;
 * **query coverage, batched** — the whole candidate-clause generation in one
   ``BatchCoverageEngine`` call: SQLite backends share one candidate temp
-  table per head signature across the batch, the ``sqlite-pool`` row
-  (``sqlite`` at ``parallelism = --parallelism``, so with a snapshot read
-  pool of that many connections) fans the clauses out over snapshots, and
-  the ``sqlite-sharded`` row (``sqlite`` placed on a fleet of ``--shards``
-  worker processes) fans the example axis over those workers;
+  table per head signature across the batch, and the ``sqlite-sharded``
+  row (``sqlite`` placed on a fleet of ``--shards`` worker processes) fans
+  the example axis over those workers;
 * **subsumption coverage** — the Python θ-subsumption engine vs the compiled
   saturation-store path (one statement tests a clause against every
   example's saturation at once).
@@ -23,8 +21,8 @@ example sets for every candidate clause (parity) — including the
 ``shards=1`` and ``--shards N``.  Run it standalone::
 
     PYTHONPATH=src python benchmarks/bench_backend_parity.py [--quick]
-        [--backend {memory,sqlite,sqlite-pool,sqlite-sharded,both,all}]
-        [--repeats N] [--seed N] [--parallelism N] [--shards N] [--json PATH]
+        [--backend {memory,sqlite,sqlite-sharded,both,all}]
+        [--repeats N] [--seed N] [--shards N] [--json PATH]
 
 ``--json`` writes a machine-readable summary (CI uploads it as the
 per-commit benchmark artifact); it records the shard configuration.  Exit
@@ -53,16 +51,13 @@ from repro.learning.examples import Example
 from repro.logic.clauses import HornClause
 from repro.obs import provenance, span as obs_span, tracer as obs_tracer
 
-#: Timed rows: the storage names, plus ``sqlite-pool`` — sqlite with a
-#: snapshot read pool of ``--parallelism`` connections — and
-#: ``sqlite-sharded`` — sqlite placed on a fleet of ``--shards`` workers.
-QUERY_BACKENDS = ("memory", "sqlite", "sqlite-pool", "sqlite-sharded")
+#: Timed rows: the storage names, plus ``sqlite-sharded`` — sqlite placed on
+#: a fleet of ``--shards`` workers.
+QUERY_BACKENDS = ("memory", "sqlite", "sqlite-sharded")
 
 
-def session_for(row: str, shards: int, parallelism: int) -> LearningSession:
+def session_for(row: str, shards: int) -> LearningSession:
     """The session whose ``prepare`` puts the workload on ``row``'s backend."""
-    if row == "sqlite-pool":
-        return LearningSession(backend="sqlite", parallelism=parallelism)
     if row == "sqlite-sharded":
         return LearningSession(backend="sqlite", shards=shards)
     return LearningSession(backend=row)
@@ -115,15 +110,12 @@ def time_batched(
     clauses: Sequence[HornClause],
     examples: Sequence[Example],
     repeats: int,
-    parallelism: int,
 ) -> Tuple[float, List[frozenset]]:
     """Best-of-``repeats`` wall time of the whole clause batch in one call."""
     covered: List[frozenset] = []
     best = float("inf")
     for _ in range(repeats):
-        batch = BatchCoverageEngine(
-            QueryCoverageEngine(instance), parallelism=parallelism
-        )
+        batch = BatchCoverageEngine(QueryCoverageEngine(instance))
         start = time.perf_counter()
         covered = [
             frozenset(e.values for e in per_clause)
@@ -166,7 +158,6 @@ def run_workload(
     bundle,
     backends: Sequence[str],
     repeats: int,
-    parallelism: int,
     clause_count: int,
     shards: int,
 ) -> Tuple[Dict[str, object], bool]:
@@ -199,14 +190,12 @@ def run_workload(
 
     sequential: Dict[str, List[frozenset]] = {}
     batched: Dict[str, List[frozenset]] = {}
-    sessions = {row: session_for(row, shards, parallelism) for row in backends}
+    sessions = {row: session_for(row, shards) for row in backends}
     instances = {row: sessions[row].prepare(base_instance) for row in backends}
     if "sqlite-sharded" in instances:
         # Spawn + initialize the worker fleet outside the timed region: a
         # learning run pays service startup once, not per generation.
-        time_batched(
-            instances["sqlite-sharded"], clauses[:2], examples, 1, parallelism
-        )
+        time_batched(instances["sqlite-sharded"], clauses[:2], examples, 1)
 
     print("  query coverage (sequential, one call per clause):")
     for backend in backends:
@@ -217,12 +206,12 @@ def run_workload(
         print(f"    {backend:>13}: {seconds * 1000:8.1f} ms")
 
     shard_note = f", shards={shards}" if "sqlite-sharded" in backends else ""
-    print(f"  query coverage (batched, parallelism={parallelism}{shard_note}):")
+    print(f"  query coverage (batched{shard_note}):")
     for backend in backends:
         if backend == "memory":
             continue  # no batched entry point beyond the sequential loop
         seconds, batched[backend] = time_batched(
-            instances[backend], clauses, examples, repeats, parallelism
+            instances[backend], clauses, examples, repeats
         )
         record["query_batched_seconds"][backend] = seconds
         print(f"    {backend:>13}: {seconds * 1000:8.1f} ms")
@@ -247,9 +236,9 @@ def run_workload(
         # Cross-shard parity: the sharded backend must answer identically
         # however many workers the batch is split over.  (Skipped for
         # --shards 1, where the comparison would be vacuous.)
-        with session_for("sqlite-sharded", 1, parallelism) as session:
+        with session_for("sqlite-sharded", 1) as session:
             _seconds, single_sets = time_batched(
-                session.prepare(base_instance), clauses, examples, 1, parallelism
+                session.prepare(base_instance), clauses, examples, 1
             )
         record["cross_shard_parity"] = {
             "shards_compared": [1, shards],
@@ -324,10 +313,6 @@ def run_workload(
     bat = record["query_batched_seconds"]
     if "memory" in seq and "sqlite" in seq and seq["sqlite"] > 0:
         speedups["sqlite_vs_memory_sequential"] = seq["memory"] / seq["sqlite"]
-    if "sqlite" in seq and "sqlite-pool" in bat and bat["sqlite-pool"] > 0:
-        speedups["pooled_batched_vs_sqlite_sequential"] = (
-            seq["sqlite"] / bat["sqlite-pool"]
-        )
     if "sqlite" in seq and "sqlite-sharded" in bat and bat["sqlite-sharded"] > 0:
         speedups["sharded_batched_vs_sqlite_sequential"] = (
             seq["sqlite"] / bat["sqlite-sharded"]
@@ -348,9 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--backend",
-        choices=[
-            "memory", "sqlite", "sqlite-pool", "sqlite-sharded", "both", "all",
-        ],
+        choices=["memory", "sqlite", "sqlite-sharded", "both", "all"],
         default="all",
         help="which storage/evaluation backend(s) to run (default: all); "
         "sqlite-sharded always also times sqlite as its speedup baseline",
@@ -360,12 +343,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=None, help="timing repeats")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=4,
-        help="clause-level fan-out for the batched/pooled path (default: 4)",
-    )
     parser.add_argument(
         "--shards",
         type=int,
@@ -427,7 +404,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             uwcse.load(uwcse_config, seed=args.seed),
             backends,
             repeats,
-            args.parallelism,
             clause_count,
             args.shards,
         )
@@ -439,7 +415,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             hiv.load(hiv_config, seed=args.seed),
             backends,
             repeats,
-            args.parallelism,
             clause_count,
             args.shards,
         )
@@ -454,7 +429,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "quick": bool(args.quick),
                 "repeats": repeats,
                 "seed": args.seed,
-                "parallelism": args.parallelism,
                 "shards": args.shards,
             },
             "parity_ok": bool(all_parity),
@@ -473,17 +447,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("\nFAIL: coverage paths disagree on covered examples")
         return 1
     warned = False
-    for label in (
-        "pooled_batched_vs_sqlite_sequential",
-        "sharded_batched_vs_sqlite_sequential",
-    ):
-        target = uwcse_record["speedups"].get(label)
-        if target is not None and target < 2.0:
-            warned = True
-            print(
-                f"\nWARN: parity holds but {label} was only {target:.2f}x "
-                "on UW-CSE (target: >= 2x; expect less on few cores)"
-            )
+    label = "sharded_batched_vs_sqlite_sequential"
+    target = uwcse_record["speedups"].get(label)
+    if target is not None and target < 2.0:
+        warned = True
+        print(
+            f"\nWARN: parity holds but {label} was only {target:.2f}x "
+            "on UW-CSE (target: >= 2x; expect less on few cores)"
+        )
     if not warned:
         print("\nPASS: parity holds across all backends and coverage paths")
     return 0

@@ -2,14 +2,14 @@
 
 Two surfaces:
 
-* **pytest** (below) — the original reduced-scale thread-count curves via
+* **pytest** (below) — reduced-scale shard-count curves via
   ``repro.experiments.figures.figure2_parallelization``;
 * **CLI** — an end-to-end Castor parallelization curve over *shard* counts
   (``sqlite`` placed on a fleet of N workers, plus a memory-backend
   reference run), with three hard gates: the run must learn at least one
   clause (parity between empty definitions proves nothing), the learned
   definition must be literal-for-literal identical across every
-  configuration (parallelism only moves work), and — on machines with
+  configuration (sharding only moves work), and — on machines with
   enough cores — the speedup at 4 and 8 shards must clear a floor.  Run
   standalone::
 
@@ -98,7 +98,7 @@ def run_curve(
 
     baseline_seconds: Optional[float] = None
     for shards in shard_counts:
-        config = SessionConfig(backend="sqlite", shards=shards, parallelism=shards)
+        config = SessionConfig(backend="sqlite", shards=shards)
         definition, elapsed = _timed_learn(config, schema, instance, examples, seed)
         definitions[f"sharded-{shards}"] = _definition_text(definition)
         if baseline_seconds is None:
@@ -129,7 +129,7 @@ def run_curve(
 
 
 # --------------------------------------------------------------------- #
-# pytest entry points (reduced-scale thread curves, unchanged)
+# pytest entry points (reduced-scale shard curves)
 # --------------------------------------------------------------------- #
 def test_figure2_hiv(benchmark):
     from repro.experiments.figures import figure2_parallelization
@@ -137,10 +137,13 @@ def test_figure2_hiv(benchmark):
     from .conftest import run_once
 
     series = run_once(
-        benchmark, figure2_parallelization, dataset="hiv", thread_counts=(1, 2, 4), seed=1
+        benchmark, figure2_parallelization, dataset="hiv", shard_counts=(1, 2), seed=1
     )
-    print("\nFigure 2 (HIV): " + ", ".join(f"{p['threads']:.0f}T={p['seconds']:.2f}s" for p in series))
-    assert len(series) == 3
+    print(
+        "\nFigure 2 (HIV): "
+        + ", ".join(f"{p['shards']:.0f}S={p['seconds']:.2f}s" for p in series)
+    )
+    assert len(series) == 2
 
 
 def test_figure2_uwcse(benchmark):
@@ -149,11 +152,11 @@ def test_figure2_uwcse(benchmark):
     from .conftest import run_once
 
     series = run_once(
-        benchmark, figure2_parallelization, dataset="uwcse", thread_counts=(1, 2), seed=1
+        benchmark, figure2_parallelization, dataset="uwcse", shard_counts=(1, 2), seed=1
     )
     print(
         "\nFigure 2 (UW-CSE): "
-        + ", ".join(f"{p['threads']:.0f}T={p['seconds']:.2f}s" for p in series)
+        + ", ".join(f"{p['shards']:.0f}S={p['seconds']:.2f}s" for p in series)
     )
     assert len(series) == 2
 

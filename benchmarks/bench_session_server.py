@@ -382,7 +382,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = SessionConfig(
         backend="sqlite",
         shards=args.shards if args.backend == "sqlite-sharded" else None,
-        parallelism=2,
     )
     print(
         f"workload: UW-CSE[{variant}] x {args.runs} runs, folds={args.folds}, "

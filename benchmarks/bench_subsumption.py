@@ -1,9 +1,9 @@
 """θ-subsumption microbench: interned kernel vs the reference engine.
 
-Times the two decision procedures in ``repro.logic.subsumption`` — the
-interned, explicit-stack :class:`~repro.logic.subsumption.SubsumptionEngine`
-and the original recursive
-:class:`~repro.logic.subsumption.ReferenceSubsumptionEngine` — on the
+Times two θ-subsumption decision procedures — the interned, explicit-stack
+:class:`~repro.logic.subsumption.SubsumptionEngine` and the original
+recursive ``ReferenceSubsumptionEngine`` kept with the tests
+(``tests/logic/reference_subsumption.py``) — on the
 library's actual hot-path workload: LGG candidate clauses tested against
 recorded UW-CSE saturations (the same clause-vs-ground-bottom-clause shape
 the coverage engine runs millions of times per learn).
@@ -27,8 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
-if SRC not in sys.path:
-    sys.path.insert(0, SRC)
+for path in (SRC, REPO_ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
 
 from repro.datasets import uwcse  # noqa: E402
 from repro.learning.bottom_clause import (  # noqa: E402
@@ -38,11 +39,14 @@ from repro.learning.bottom_clause import (  # noqa: E402
 from repro.logic.lgg import lgg_clauses  # noqa: E402
 from repro.logic.subsumption import (  # noqa: E402
     GroundClauseIndex,
-    ReferenceSubsumptionEngine,
     SubsumptionEngine,
     budget_exhausted_count,
 )
 from repro.obs import provenance  # noqa: E402
+from tests.logic.reference_subsumption import (  # noqa: E402
+    ReferenceClauseIndex,
+    ReferenceSubsumptionEngine,
+)
 
 #: Generous budget: keep both engines inside exact territory so verdicts are
 #: uniquely determined (exhaustion still counts identically for both).
@@ -93,7 +97,7 @@ def run_engine(
     it, and then probes it once per candidate clause for the rest of the
     learn — the probe loop is the hot path, index construction is amortized
     across thousands of probes.  Per-index one-time costs that the sweep
-    itself triggers (clause encoding for the kernel, the legacy
+    itself triggers (clause encoding for the kernel, the Term-level
     predicate/position maps for the reference engine) stay on the clock.
     """
     start = time.perf_counter()
@@ -124,7 +128,7 @@ def run_bench(quick: bool, repeats: int = 3) -> Dict[str, object]:
             kernel, candidates, saturations, indexes
         )
         kernel_seconds.append(elapsed)
-        indexes = [GroundClauseIndex(s) for s in saturations]
+        indexes = [ReferenceClauseIndex(s) for s in saturations]
         elapsed, reference_verdicts = run_engine(
             reference, candidates, saturations, indexes
         )

@@ -14,9 +14,8 @@ learner keeps working when the bond relation is composed with its type
 relations or split into source/target halves.
 
 All three variants run through **one** :class:`LearningSession`: the SQLite
-backend (with a two-connection snapshot read pool, from ``parallelism=2``)
-and the per-variant saturation stores are owned by the session, so a second
-pass over a variant would start warm.
+backend and the per-variant saturation stores are owned by the session, so a
+second pass over a variant would start warm.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def main() -> None:
         bottom_clause=CastorBottomClauseConfig(max_depth=3, max_distinct_variables=15),
     )
     train, test = bundle.examples.train_test_split(test_fraction=0.3, seed=0)
-    with LearningSession(SessionConfig(backend="sqlite", parallelism=2)) as session:
+    with LearningSession(SessionConfig(backend="sqlite")) as session:
         for variant in bundle.variant_names:
             schema = bundle.schema(variant)
             instance = bundle.instance(variant)

@@ -14,7 +14,7 @@ single composed literal would.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..database.constraints import InclusionDependency
 from ..database.schema import Schema
@@ -86,12 +86,11 @@ def castor_armg(
     schema: Schema,
     include_subset_inds: bool = False,
     batch=None,
-    probe_width: Optional[int] = None,
 ) -> HornClause:
     """Castor's ARMG: standard ARMG with IND-consistency enforcement after each removal.
 
-    ``batch`` / ``probe_width`` forward to the blocking-atom search's batched
-    prefix probes (see :func:`repro.progolem.armg.find_blocking_atom`).
+    ``batch`` forwards to the blocking-atom search's batched prefix probes
+    (see :func:`repro.progolem.armg.find_blocking_atom`).
     """
     enforcer = IndConsistencyEnforcer(schema, include_subset_inds)
 
@@ -104,5 +103,4 @@ def castor_armg(
         coverage,
         post_removal_hook=hook,
         batch=batch,
-        probe_width=probe_width,
     )

@@ -11,7 +11,8 @@ but integrates inclusion dependencies at every step:
 * **negative reduction** removes whole inclusion-class instances instead of
   individual literals (Lemma 7.8) and keeps clauses safe (Section 7.3);
 * clauses are **minimized** before and after generalization (Section 7.5.5)
-  and coverage tests are cached and optionally parallelized (Section 7.5.3/4).
+  and coverage tests are cached (Section 7.5.4); a session's ``shards=N``
+  spreads them over worker processes (Section 7.5.3).
 
 Modes:
 
@@ -63,7 +64,6 @@ class CastorParameters(ProGolemParameters):
         minimize_bottom_clauses: bool = False,
         ensure_safe: bool = True,
         max_seconds: Optional[float] = None,
-        parallelism: int = 1,
         prefetch: Optional[bool] = None,
     ):
         super().__init__(
@@ -76,7 +76,6 @@ class CastorParameters(ProGolemParameters):
             bottom_clause=bottom_clause or CastorBottomClauseConfig(),
             seed=seed,
             max_seconds=max_seconds,
-            parallelism=parallelism,
             prefetch=prefetch,
         )
         self.use_subset_inds = bool(use_subset_inds)
@@ -93,7 +92,6 @@ class CastorCoverageEngine(SubsumptionCoverageEngine):
         instance: DatabaseInstance,
         schema: Schema,
         config: CastorBottomClauseConfig,
-        threads: int = 1,
         compiled: Optional[bool] = None,
         saturation_store=None,
     ):
@@ -102,7 +100,6 @@ class CastorCoverageEngine(SubsumptionCoverageEngine):
         super().__init__(
             instance,
             config,
-            threads=threads,
             compiled=compiled,
             saturation_store=saturation_store,
         )
@@ -207,9 +204,8 @@ class CastorLearner(ProGolemLearner):
         self,
         schema: Schema,
         parameters: Optional[CastorParameters] = None,
-        threads: int = 1,
     ):
-        super().__init__(schema, parameters or CastorParameters(), threads=threads)
+        super().__init__(schema, parameters or CastorParameters())
         self.parameters: CastorParameters = self.parameters
         self._working_schema: Optional[Schema] = None
 
@@ -246,7 +242,6 @@ class CastorLearner(ProGolemLearner):
             instance,
             self._working_schema,
             config,
-            threads=self.threads,
             saturation_store=self.saturation_store,
         )
 

@@ -11,7 +11,7 @@ the reduced clause remains safe.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from ..database.schema import Schema
 from ..learning.coverage import BatchCoverageEngine, SubsumptionCoverageEngine
@@ -32,11 +32,8 @@ class NegativeReducer:
     Each negative-coverage probe (one prefix clause against the whole
     negative example list) is routed through a
     :class:`~repro.learning.coverage.BatchCoverageEngine`, so a probe is a
-    single batched — poolable / shardable — evaluation rather than a
-    per-example Python loop; the prefix boundary search additionally probes
-    ``probe_width`` interior points per round (multi-way section search) so
-    one batched call narrows the boundary as much as ``probe_width``
-    sequential bisection steps would.  Pass ``batched=False`` to keep the
+    single batched — shardable — evaluation rather than a per-example
+    Python loop.  Pass ``batched=False`` to keep the
     original per-example sequential probes (the parity tests pit the two
     against each other).
     """
@@ -50,7 +47,6 @@ class NegativeReducer:
         max_iterations: int = 50,
         batch: Optional[BatchCoverageEngine] = None,
         batched: bool = True,
-        probe_width: Optional[int] = None,
     ):
         self.schema = schema
         self.coverage = coverage
@@ -63,13 +59,6 @@ class NegativeReducer:
             self.batch = BatchCoverageEngine(coverage)
         else:
             self.batch = None
-        if probe_width is None:
-            # Default the section width to the batch's clause-level fan-out:
-            # sequential configurations keep bisection's probe count, while
-            # pooled/sharded ones trade extra (concurrent) probes for fewer
-            # rounds.
-            probe_width = self.batch.parallelism if self.batch is not None else 1
-        self.probe_width = max(1, int(probe_width))
 
     # ------------------------------------------------------------------ #
     def reduce(
@@ -134,58 +123,28 @@ class NegativeReducer:
         ``0..i`` covers no more negatives than the full clause, or None when
         no prefix qualifies.  Because longer prefixes are more specific, the
         covered-negatives count is non-increasing in ``i``, so the boundary
-        is located by section search: each round probes up to ``probe_width``
-        interior points — every probe a single batched evaluation over the
-        negatives — and shrinks the bracket around the boundary.  With width
-        1 this is exactly bisection.
+        is located by bisection — every probe a single batched evaluation
+        over the negatives.
         """
-        counts: Dict[int, int] = {}
 
-        def probe(indices: Sequence[int]) -> None:
-            pending: List[int] = []
-            prefix_clauses: List[HornClause] = []
-            for index in dict.fromkeys(indices):
-                if index in counts:
-                    continue
-                prefix_clause = self._clause_from_instances(
-                    clause, instances[: index + 1]
-                )
-                if not prefix_clause.body:
-                    counts[index] = len(negatives) + 1
-                    continue
-                pending.append(index)
-                prefix_clauses.append(prefix_clause)
-            if not pending:
-                return
-            if self.batch is None:
-                for index, prefix_clause in zip(pending, prefix_clauses):
-                    counts[index] = sum(
-                        1
-                        for e in negatives
-                        if self.coverage.covers(prefix_clause, e, use_cache=False)
-                    )
-            else:
-                masks = self.batch.covered_masks_batch(prefix_clauses, negatives)
-                for index, mask in zip(pending, masks):
-                    counts[index] = mask.bit_count()
+        def covered(index: int) -> int:
+            prefix_clause = self._clause_from_instances(
+                clause, instances[: index + 1]
+            )
+            if not prefix_clause.body:
+                return len(negatives) + 1
+            return self._covered_negatives(prefix_clause, negatives)
 
         last = len(instances) - 1
-        probe([last])
-        if counts[last] > target_count:
+        if covered(last) > target_count:
             return None
         low, high = 0, last
         while low < high:
-            width = high - low
-            sections = min(self.probe_width, width)
-            points = sorted(
-                {low + (width * (j + 1)) // (sections + 1) for j in range(sections)}
-            )
-            probe(points)
-            for point in points:
-                if counts[point] <= target_count:
-                    high = min(high, point)
-                else:
-                    low = max(low, point + 1)
+            middle = (low + high) // 2
+            if covered(middle) <= target_count:
+                high = middle
+            else:
+                low = middle + 1
         return low
 
     def _clause_from_instances(

@@ -27,7 +27,6 @@ absolute numbers.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 from ..database.instance import DatabaseInstance
@@ -47,16 +46,11 @@ class StoredProcedureRunner:
         schema: Optional[Schema] = None,
         config: Optional[CastorBottomClauseConfig] = None,
         use_stored_procedures: bool = True,
-        parallelism: int = 1,
     ):
         self.instance = instance
         self.schema = schema or instance.schema
         self.config = config or CastorBottomClauseConfig()
         self.use_stored_procedures = bool(use_stored_procedures)
-        # Bottom clauses of independent examples are built concurrently when
-        # parallelism > 1 (lookups on SQLite-family backends release the GIL);
-        # output order always matches input order.
-        self.parallelism = max(1, int(parallelism))
         self._compiled_builder: Optional[CastorBottomClauseBuilder] = None
         self._batch_engine: Optional[BatchSaturationEngine] = None
         if self.use_stored_procedures:
@@ -66,9 +60,7 @@ class StoredProcedureRunner:
             self._compiled_builder = CastorBottomClauseBuilder(
                 self.instance, self.schema, self.config, use_compiled_lookups=True
             )
-            self._batch_engine = BatchSaturationEngine(
-                self._compiled_builder, parallelism=self.parallelism
-            )
+            self._batch_engine = BatchSaturationEngine(self._compiled_builder)
 
     # ------------------------------------------------------------------ #
     def build_bottom_clause(self, example: Example) -> HornClause:
@@ -92,11 +84,7 @@ class StoredProcedureRunner:
         """
         if self.use_stored_procedures:
             return self._batch_engine.build_ground_batch(examples)
-        if self.parallelism == 1 or len(examples) < 2:
-            return [self.build_bottom_clause(example) for example in examples]
-        workers = min(self.parallelism, len(examples))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.build_bottom_clause, examples))
+        return [self.build_bottom_clause(example) for example in examples]
 
     def timed_run(self, examples: Sequence[Example]) -> Dict[str, float]:
         """Build bottom clauses for all examples and report elapsed seconds."""
@@ -117,22 +105,13 @@ def compare_stored_procedure_modes(
     examples: Sequence[Example],
     schema: Optional[Schema] = None,
     config: Optional[CastorBottomClauseConfig] = None,
-    parallelism: int = 1,
 ) -> Dict[str, float]:
     """Run the same workload with and without stored procedures (Table 13)."""
     with_sp = StoredProcedureRunner(
-        instance,
-        schema,
-        config,
-        use_stored_procedures=True,
-        parallelism=parallelism,
+        instance, schema, config, use_stored_procedures=True
     ).timed_run(examples)
     without_sp = StoredProcedureRunner(
-        instance,
-        schema,
-        config,
-        use_stored_procedures=False,
-        parallelism=parallelism,
+        instance, schema, config, use_stored_procedures=False
     ).timed_run(examples)
     speedup = (
         without_sp["seconds"] / with_sp["seconds"] if with_sp["seconds"] > 0 else 0.0

@@ -36,12 +36,7 @@ from .instance import DatabaseInstance, RelationInstance
 from .query import QueryEvaluator, evaluate_clause, evaluate_definition
 from .schema import RelationSchema, Schema
 
-from .sqlite_backend import (
-    SaturationStore,
-    SQLiteBackend,
-    SQLiteReadPool,
-    SQLiteRelation,
-)
+from .sqlite_backend import SaturationStore, SQLiteBackend, SQLiteRelation
 
 __all__ = [
     "Backend",
@@ -50,7 +45,6 @@ __all__ = [
     "MemoryBackend",
     "RelationBackend",
     "SQLiteBackend",
-    "SQLiteReadPool",
     "SQLiteRelation",
     "SaturationStore",
     "backend_names",

@@ -14,9 +14,8 @@ substrate swappable:
   string (``"memory"`` or ``"sqlite"``), e.g.
   ``DatabaseInstance(schema, backend="sqlite")``.
 
-Where ``sqlite`` evaluation runs — in process (with a snapshot read pool
-when ``parallelism`` exceeds 1), on a local fleet of ``shards`` worker
-processes, or on a persistent server at ``service_address`` — is the
+Where ``sqlite`` evaluation runs — in process, on a local fleet of
+``shards`` worker processes, or on a persistent server at ``service_address`` — is the
 *placement*, chosen by :class:`~repro.session.session.LearningSession`
 from its config.  Placed backends report the storage name ``sqlite``;
 the placement shows in their type
@@ -130,9 +129,8 @@ class Backend(Protocol):
     #: (each read on its own connection, or no connections at all).  The
     #: learners consult this before overlapping phases — e.g. prefetching
     #: saturation materialization on a worker thread while the main thread
-    #: keeps querying.  The plain single-connection SQLite backend is NOT
-    #: concurrent-read-safe; the memory, pooled ``sqlite``, and sharded
-    #: backends are.
+    #: keeps querying.  The in-process single-connection SQLite backend is
+    #: NOT concurrent-read-safe; the memory and sharded backends are.
     supports_concurrent_reads: bool
 
     def make_relation(self, schema: RelationSchema) -> RelationBackend:

@@ -483,15 +483,13 @@ class DatabaseInstance:
         scanning.  ``None`` when the backend tracks no version (exotic
         third-party backends); every registered backend tracks one.
         """
-        pool_state = getattr(self.backend, "_pool_state", None)
-        if pool_state is not None:
-            return pool_state()
-        # Plain SQLite (no snapshot pool) and the memory backend expose the
-        # bare version counter instead.
-        for attribute in ("_data_version", "data_version"):
-            version = getattr(self.backend, attribute, None)
-            if version is not None:
-                return (len(self._relations), version)
+        backend_token = getattr(self.backend, "data_token", None)
+        if backend_token is not None:
+            return backend_token()
+        # The memory backend exposes the bare version counter instead.
+        version = getattr(self.backend, "data_version", None)
+        if version is not None:
+            return (len(self._relations), version)
         return None
 
     def copy(self) -> "DatabaseInstance":

@@ -144,14 +144,12 @@ class QueryEvaluator:
         self,
         clauses: Sequence[HornClause],
         candidates: Sequence[Sequence[object]],
-        parallelism: int = 1,
     ) -> List[Set[Tuple[object, ...]]]:
         """Per-clause covered candidate sets for a whole batch of clauses.
 
         Backends exposing ``covered_head_tuples_batch`` (the SQLite family)
         answer the batch with one shared candidate temp table per head
-        signature — and, on the pooled backend, fan the clauses out across
-        snapshot connections when ``parallelism > 1``.  Clauses the backend
+        signature.  Clauses the backend
         cannot compile fall back to :meth:`covered_tuples` individually.
         Results are returned in input order.
         """
@@ -159,7 +157,7 @@ class QueryEvaluator:
         batch = getattr(self._compiled, "covered_head_tuples_batch", None)
         if batch is not None:
             try:
-                partial = batch(clause_list, candidates, parallelism=parallelism)
+                partial = batch(clause_list, candidates)
             except CompilationNotSupported:
                 partial = [None] * len(clause_list)
         else:

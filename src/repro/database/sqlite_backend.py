@@ -26,17 +26,13 @@ tuple-at-a-time path.
 from __future__ import annotations
 
 import itertools
-import os
 import sqlite3
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -47,20 +43,10 @@ from typing import (
 from ..logic.atoms import Atom
 from ..logic.clauses import HornClause
 from ..logic.terms import Constant, Variable
-from ..obs import registry as obs_registry
 from .schema import RelationSchema
 
 Row = Tuple[object, ...]
 
-
-def default_pool_size() -> int:
-    """Snapshot connections a sharded coordinator or worker keeps: one per
-    core, capped at 4."""
-    return min(4, os.cpu_count() or 1)
-
-
-#: Per-pool label for registry series (a fresh pool must read zero).
-_POOL_SEQ = itertools.count(1)
 
 # SQLite refuses joins of more than 64 tables; stay safely below.
 MAX_COMPILED_ATOMS = 60
@@ -99,30 +85,6 @@ def _quote(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
 
 
-_SERIALIZED: Optional[bool] = None
-
-
-def _sqlite_is_serialized() -> bool:
-    """Whether the linked SQLite is in serialized (fully thread-safe) mode.
-
-    ``sqlite3.threadsafety`` only reflects the real build since Python 3.11
-    (it is hardcoded to 1 on older versions), so fall back to the compile
-    options for 3.9/3.10.
-    """
-    global _SERIALIZED
-    if _SERIALIZED is None:
-        if sqlite3.threadsafety == 3:
-            _SERIALIZED = True
-        else:
-            probe = sqlite3.connect(":memory:")
-            try:
-                options = {row[0] for row in probe.execute("PRAGMA compile_options")}
-            finally:
-                probe.close()
-            _SERIALIZED = "THREADSAFE=1" in options
-    return _SERIALIZED
-
-
 class SQLiteRelation:
     """One relation's extension as an indexed SQLite table.
 
@@ -144,8 +106,8 @@ class SQLiteRelation:
             )
         self.schema = schema
         self._connection = connection
-        # Invoked after every successful data change; the pooled backend uses
-        # it to version relation contents for snapshot staleness checks.
+        # Invoked after every successful data change; the backend uses it to
+        # version relation contents (see SQLiteBackend.data_token).
         self._on_mutation = on_mutation
         # Installed by DatabaseInstance.mark_managed(): invoked before every
         # mutation so prepared instances can warn when callers bypass the
@@ -483,69 +445,44 @@ class SQLiteBackend:
     One backend object owns one in-memory SQLite connection shared by every
     relation of a :class:`~repro.database.instance.DatabaseInstance`, so
     multi-relation joins run inside a single statement.
-
-    ``pool_size`` adds a :class:`SQLiteReadPool` for the parallel covering
-    loop: ``covered_head_tuples_batch`` then fans the candidate clauses out
-    over a thread pool in which every worker queries its own snapshot
-    connection.  Writes go to the primary connection and invalidate
-    snapshots lazily.  ``None`` (default) keeps the single connection.  The
-    size is fixed here because a pooled primary must be opened without
-    ``check_same_thread``.
     """
 
     name = "sqlite"
     supports_compiled_queries = True
     supports_saturation_queries = True
+    #: Every read shares one connection: concurrent readers would interleave
+    #: statements on it, so phase-overlap machinery must not read this
+    #: backend from worker threads.
+    supports_concurrent_reads = False
 
-    def __init__(
-        self,
-        connection: Optional[sqlite3.Connection] = None,
-        pool_size: Optional[int] = None,
-    ):
-        owns_connection = connection is None
+    def __init__(self, connection: Optional[sqlite3.Connection] = None):
         if connection is None:
-            # With a serialized SQLite build the library itself locks around
-            # every call, so the connection may be shared by the coverage
-            # engine's worker threads; a pool's backup runs from worker
-            # threads, so a pooled primary is never pinned to one thread.
-            # Autocommit keeps the database free of open write transactions,
-            # which snapshot pools require.
+            # Not pinned to its creating thread: a session may prepare an
+            # instance on one thread and learn on another.  Reads never
+            # overlap (see ``supports_concurrent_reads``).
             connection = sqlite3.connect(
-                ":memory:",
-                check_same_thread=pool_size is None and not _sqlite_is_serialized(),
-                isolation_level=None,
+                ":memory:", check_same_thread=False, isolation_level=None
             )
         self._connection = connection
         self._connection.execute("PRAGMA temp_store = MEMORY")
         self._relations: Dict[str, SQLiteRelation] = {}
         self._temp_ids = itertools.count(1)
         # One reusable frontier-values temp table for saturation queries
-        # (created lazily); the lock serializes its refill when batched
-        # construction fans out over threads.
+        # (created lazily); the lock serializes its refill when a prefetch
+        # thread saturates beside the learner on a sharded backend.
         self._frontier_table: Optional[str] = None
         self._frontier_lock = threading.Lock()
         # Bumped on every successful relation mutation; versions the data
         # independently of scratch writes (temp tables do not count).
         self._data_version = 0
-        self.pool_size = None if pool_size is None else max(1, int(pool_size))
-        self.pool = (
-            None
-            if pool_size is None
-            else SQLiteReadPool(
-                self._connection, self._pool_state, source_owned=owns_connection
-            )
-        )
-        # Without a pool every read shares one connection: concurrent
-        # readers would interleave statements on it (and a non-serialized
-        # SQLite build pins it to one thread), so phase-overlap machinery
-        # must not read this backend from worker threads.  Pooled reads fan
-        # out over per-worker snapshots and never share a cursor.
-        self.supports_concurrent_reads = self.pool is not None
 
-    def _pool_state(self) -> Tuple[int, int]:
-        # Relation mutations bump the data version; new relations change the
-        # count.  Deliberately NOT total_changes: scratch temp-table writes
-        # from read-only coverage calls must not invalidate snapshots.
+    def data_token(self) -> Tuple[int, int]:
+        """Cheap token of the stored data's version.
+
+        Relation mutations bump the data version; new relations change the
+        count.  Deliberately NOT ``total_changes``: scratch temp-table
+        writes from read-only coverage calls must not look like new data.
+        """
         return (len(self._relations), self._data_version)
 
     def _bump_data_version(
@@ -660,7 +597,6 @@ class SQLiteBackend:
         self,
         body: Sequence[Atom],
         binding: Optional[Dict[Variable, object]] = None,
-        connection: Optional[sqlite3.Connection] = None,
     ) -> bool:
         """One satisfying assignment exists (``SELECT 1 ... LIMIT 1``)."""
         if not body:
@@ -669,8 +605,7 @@ class SQLiteBackend:
         if compiled.empty:
             return False
         sql = self._sql_for(compiled, "1") + " LIMIT 1"
-        connection = connection or self._connection
-        return connection.execute(sql, compiled.params).fetchone() is not None
+        return self._connection.execute(sql, compiled.params).fetchone() is not None
 
     def count_bindings(
         self, body: Sequence[Atom], limit: Optional[int] = None
@@ -758,22 +693,22 @@ class SQLiteBackend:
         variables = sorted(first_position, key=lambda v: first_position[v])
         return {variable: f"cand.x{i}" for i, variable in enumerate(variables)}
 
-    def _covered_batch_on(
+    def _covered_batch(
         self,
-        connection: sqlite3.Connection,
         indexed_clauses: Sequence[Tuple[int, HornClause]],
         candidates: Sequence[Sequence[object]],
     ) -> Dict[int, Optional[Set[Row]]]:
-        """Set-at-a-time coverage of several clauses on one connection.
+        """Set-at-a-time coverage of several clauses.
 
         Clauses are grouped by head signature so the candidate tuples are
         loaded into ONE temp table per signature and reused by every clause
-        of the group — this amortization (not just thread fan-out) is what
-        makes batched scoring beat the per-clause sequential path.  The
-        result maps each input index to its covered candidate set, or to
-        ``None`` when that clause cannot be compiled (the caller falls back
-        to the tuple-at-a-time join).
+        of the group — this amortization is what makes batched scoring
+        beat the per-clause sequential path.  The result maps each input
+        index to its covered candidate set, or to ``None`` when that clause
+        cannot be compiled (the caller falls back to the tuple-at-a-time
+        join).
         """
+        connection = self._connection
         results: Dict[int, Optional[Set[Row]]] = {}
         groups: Dict[Tuple[object, ...], List[Tuple[int, HornClause]]] = {}
         for index, clause in indexed_clauses:
@@ -793,9 +728,7 @@ class SQLiteBackend:
                         results[index] = set(projection.viable)
                         continue
                     try:
-                        satisfied = self.satisfiable(
-                            clause.body, connection=connection
-                        )
+                        satisfied = self.satisfiable(clause.body)
                     except CompilationNotSupported:
                         results[index] = None
                         continue
@@ -851,7 +784,6 @@ class SQLiteBackend:
         self,
         clause: HornClause,
         candidates: Sequence[Sequence[object]],
-        connection: Optional[sqlite3.Connection] = None,
     ) -> Set[Row]:
         """The subset of candidate head tuples the clause derives — one query.
 
@@ -860,8 +792,7 @@ class SQLiteBackend:
         ``EXISTS`` over the compiled body, so the whole example set is tested
         in a single statement.
         """
-        connection = connection or self._connection
-        result = self._covered_batch_on(connection, [(0, clause)], candidates)[0]
+        result = self._covered_batch([(0, clause)], candidates)[0]
         if result is None:
             raise CompilationNotSupported(
                 "clause not compilable for set-at-a-time coverage"
@@ -872,145 +803,19 @@ class SQLiteBackend:
         self,
         clauses: Sequence[HornClause],
         candidates: Sequence[Sequence[object]],
-        parallelism: Optional[int] = None,
     ) -> List[Optional[Set[Row]]]:
         """Covered candidate sets for N clauses against one candidate list.
 
         Sharing one candidate temp table per head signature amortizes the
         per-clause setup the sequential path pays N times.  Entries are
         ``None`` for clauses that need the tuple-at-a-time fallback.
-        Without a pool ``parallelism`` is ignored (one connection: batching
-        amortizes, threads cannot); with one, groups fan out across
-        ``parallelism`` (default ``pool_size``) snapshot connections.
         """
         clause_list = list(clauses)
-        pool = self.pool
-        workers = 1
-        if pool is not None:
-            workers = self.pool_size or 1
-            if parallelism is not None:
-                workers = max(1, int(parallelism))
-            workers = min(workers, len(clause_list))
-        if pool is None or workers <= 1:
-            results = self._covered_batch_on(
-                self._connection, list(enumerate(clause_list)), candidates
-            )
-            return [results[index] for index in range(len(clause_list))]
-
-        chunks: List[List[Tuple[int, HornClause]]] = [[] for _ in range(workers)]
-        for index, clause in enumerate(clause_list):
-            chunks[index % workers].append((index, clause))
-
-        def run(chunk: List[Tuple[int, HornClause]]) -> Dict[int, Optional[Set[Row]]]:
-            with pool.lease() as snapshot:
-                return self._covered_batch_on(snapshot, chunk, candidates)
-
-        merged: Dict[int, Optional[Set[Row]]] = {}
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            for partial in executor.map(run, chunks):
-                merged.update(partial)
-        return [merged[index] for index in range(len(clause_list))]
-
-    def close(self) -> None:
-        """Close the snapshot pool's connections; the primary stays open
-        (relations remain readable and the pool refills lazily)."""
-        if self.pool is not None:
-            self.pool.close()
+        results = self._covered_batch(list(enumerate(clause_list)), candidates)
+        return [results[index] for index in range(len(clause_list))]
 
     def __repr__(self) -> str:
-        pool = "" if self.pool_size is None else f", pool_size={self.pool_size}"
-        return f"SQLiteBackend({len(self._relations)} relations{pool})"
-
-
-class SQLiteReadPool:
-    """A pool of snapshot connections over one source SQLite database.
-
-    Each pooled connection is an independent in-memory copy of the source
-    (built with SQLite's online backup), so worker threads can evaluate
-    queries truly concurrently: ``sqlite3`` releases the GIL inside
-    ``step()`` and per-copy connections never contend on page locks.
-    Snapshots are refreshed lazily — ``state_fn`` returns a cheap token of
-    the source's current state, and a leased connection whose token is stale
-    is re-copied before use, so mutations between batches are always visible.
-    """
-
-    def __init__(
-        self,
-        source: sqlite3.Connection,
-        state_fn: Callable[[], object],
-        max_idle: int = 8,
-        source_owned: bool = True,
-    ):
-        self._source = source
-        self._state_fn = state_fn
-        self._max_idle = int(max_idle)
-        # ``source_owned`` marks a source connection the backend created
-        # itself (autocommit, no caller-managed transactions): only then may
-        # the pool commit a stray open transaction before a backup.
-        self._source_owned = bool(source_owned)
-        self._lock = threading.Lock()
-        self._idle: List[Tuple[sqlite3.Connection, object]] = []
-        self._c_snapshots = obs_registry().counter(
-            "sqlite.pool.snapshots", pool=next(_POOL_SEQ)
-        )
-
-    @property
-    def snapshots_taken(self) -> int:
-        return self._c_snapshots.value
-
-    def _snapshot(
-        self, connection: Optional[sqlite3.Connection] = None
-    ) -> Tuple[sqlite3.Connection, object]:
-        # Called with self._lock held: snapshot refreshes are serialized so
-        # the source connection is never used from two threads at once.
-        # Token is read BEFORE the copy: a write racing the backup leaves the
-        # snapshot newer than its token, which only causes a harmless refresh.
-        state = self._state_fn()
-        if connection is None:
-            connection = sqlite3.connect(
-                ":memory:", check_same_thread=False, isolation_level=None
-            )
-            connection.execute("PRAGMA temp_store = MEMORY")
-        if self._source.in_transaction:
-            # The online backup cannot copy past an open write transaction.
-            if not self._source_owned:
-                raise RuntimeError(
-                    "cannot snapshot a caller-supplied connection with an "
-                    "open transaction; commit or roll back before batched "
-                    "coverage on the pooled backend"
-                )
-            self._source.commit()
-        self._source.backup(connection)
-        self._c_snapshots.inc()
-        return connection, state
-
-    @contextmanager
-    def lease(self) -> Iterator[sqlite3.Connection]:
-        """Borrow a fresh-enough snapshot connection for the ``with`` block."""
-        with self._lock:
-            entry = self._idle.pop() if self._idle else None
-            current = self._state_fn()
-            if entry is None:
-                connection, state = self._snapshot()
-            else:
-                connection, state = entry
-                if state != current:
-                    connection, state = self._snapshot(connection)
-        try:
-            yield connection
-        finally:
-            with self._lock:
-                if len(self._idle) < self._max_idle:
-                    self._idle.append((connection, state))
-                    connection = None
-            if connection is not None:
-                connection.close()
-
-    def close(self) -> None:
-        with self._lock:
-            for connection, _ in self._idle:
-                connection.close()
-            self._idle.clear()
+        return f"SQLiteBackend({len(self._relations)} relations)"
 
 
 class SaturationStore:

@@ -3,8 +3,8 @@
 :class:`ShardedSQLiteBackend` is ``sqlite`` storage placed on a local
 worker fleet — a :class:`~repro.session.session.LearningSession` builds
 one for ``SessionConfig(backend="sqlite", shards=N)``, and its ``name``
-stays ``"sqlite"``.  Storage, single-statement evaluation, and the
-snapshot read pool are inherited unchanged from
+stays ``"sqlite"``.  Storage and single-statement evaluation are
+inherited unchanged from
 :class:`~repro.database.sqlite_backend.SQLiteBackend`.  What changes is
 *batched* coverage: the backend lazily owns an
 :class:`~repro.distributed.service.EvaluationService` and routes
@@ -16,8 +16,8 @@ snapshot read pool are inherited unchanged from
   :meth:`coverage_service`) through the ``coverage_batch`` path,
 
 so a generation of candidate clauses is scored by N worker processes in
-parallel.  Results are invariant in the shard count and
-parallelism, and match the other backends — with one narrow exception
+parallel.  Results are invariant in the shard count and match the other
+backends — with one narrow exception
 inherited from the compiled-vs-Python distinction: workers always decide
 subsumption with the exact SQL path (required for shard-count
 invariance), while in-process engines fall back to the backtrack-budgeted
@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..database.delta import Delta
 from ..database.schema import Schema
-from ..database.sqlite_backend import SQLiteBackend, default_pool_size
+from ..database.sqlite_backend import SQLiteBackend
 from ..logic.clauses import HornClause
 from .service import EvaluationService, default_shard_count
 from .worker import InstancePayload
@@ -52,9 +52,12 @@ def _close_service(service: EvaluationService) -> None:
 
 
 class ShardedSQLiteBackend(SQLiteBackend):
-    """Pooled SQLite storage plus a sharded multi-process evaluation service."""
+    """SQLite storage plus a sharded multi-process evaluation service."""
 
     name = "sqlite"
+    #: Batch reads (coverage, saturations) go to the worker fleet, so a
+    #: prefetch thread can overlap them with the learner's seed construction.
+    supports_concurrent_reads = True
 
     #: Mutation-log caps: beyond this many change records — or this many
     #: total logged rows, whichever trips first — the log's floor advances
@@ -67,12 +70,9 @@ class ShardedSQLiteBackend(SQLiteBackend):
     def __init__(
         self,
         connection=None,
-        pool_size: Optional[int] = None,
         shards: Optional[int] = None,
     ):
-        super().__init__(
-            connection, default_pool_size() if pool_size is None else pool_size
-        )
+        super().__init__(connection)
         if shards is not None and int(shards) < 1:
             raise ValueError(f"need at least one shard, got {shards}")
         self.shards = int(shards) if shards is not None else default_shard_count()
@@ -153,7 +153,7 @@ class ShardedSQLiteBackend(SQLiteBackend):
     def collect_diff(
         self, since_token: Optional[Tuple[int, int]]
     ) -> Optional[Delta]:
-        """The ordered :class:`Delta` since a pool-state token, or ``None``.
+        """The ordered :class:`Delta` since a :meth:`data_token`, or ``None``.
 
         ``None`` — ship the full payload instead — when the token predates
         the log floor, the relation set changed (the token's first element),
@@ -226,7 +226,7 @@ class ShardedSQLiteBackend(SQLiteBackend):
 
             def state_token_fn() -> object:
                 backend = backend_ref()
-                return None if backend is None else backend._pool_state()
+                return None if backend is None else backend.data_token()
 
             def diff_fn(since_token: object) -> Optional[List[object]]:
                 backend = backend_ref()
@@ -246,10 +246,10 @@ class ShardedSQLiteBackend(SQLiteBackend):
         return self._service
 
     def close(self) -> None:
-        """Shut down the service (and its workers) and the snapshot pool.
+        """Shut down the service (and its workers).
 
         The primary connection stays open: relations remain readable, and a
-        later batch simply respawns the service/pool lazily.
+        later batch simply respawns the service lazily.
         """
         if self._service_finalizer is not None:
             self._service_finalizer.detach()
@@ -257,7 +257,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
         if self._service is not None:
             self._service.close()
             self._service = None
-        super().close()
 
     # ------------------------------------------------------------------ #
     # Batched evaluation (probed by QueryEvaluator)
@@ -266,7 +265,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
         self,
         clauses: Sequence[HornClause],
         candidates: Sequence[Sequence[object]],
-        parallelism: Optional[int] = None,
     ) -> List[Optional[Set[Row]]]:
         """Fan the candidate axis of the batch across the shard workers.
 
@@ -278,10 +276,7 @@ class ShardedSQLiteBackend(SQLiteBackend):
         if len(clause_list) * len(candidates) == 0:
             return [set() for _ in clause_list]
         service = self.coverage_service()
-        covered = service.covered_candidates_batch(
-            clause_list, candidates, parallelism=max(1, int(parallelism or 1))
-        )
-        return list(covered)
+        return list(service.covered_candidates_batch(clause_list, candidates))
 
     def __repr__(self) -> str:
         started = self._service is not None and self._service._started

@@ -17,9 +17,10 @@ Three layers, each usable on its own:
   costs one small register round-trip instead of a full payload ship
   (``reloads_full`` stays 0).
 * :class:`RemoteBackend` — ``sqlite`` storage placed on a persistent
-  server (its ``name`` stays ``"sqlite"``): pooled SQLite storage locally (mutations, direct queries, fallbacks all
-  work offline) while every *batched* evaluation routes to the server
-  through the same ``coverage_service()`` seam the sharded backend uses.
+  server (its ``name`` stays ``"sqlite"``): SQLite storage locally
+  (mutations, direct queries, fallbacks all work offline) while every
+  *batched* evaluation routes to the server through the same
+  ``coverage_service()`` seam the sharded backend uses.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ def payload_content_hash(payload: InstancePayload) -> str:
     what lets the server skip the payload re-ship.
     """
     digest = hashlib.sha256()
-    digest.update(payload.backend.encode())
     for name in sorted(payload.rows):
         digest.update(b"\x00R\x00" + name.encode())
         for row in sorted(payload.rows[name], key=repr):
@@ -435,7 +435,6 @@ class RemoteEvaluationService:
         spec: Tuple[object, ...],
         clauses: Sequence[object],
         examples: Sequence[object],
-        parallelism: int = 1,
     ) -> List[List[object]]:
         if not spec or spec[0] not in SPEC_KINDS:
             raise ValueError(
@@ -452,7 +451,6 @@ class RemoteEvaluationService:
             "coverage_batch",
             lambda handle, content_hash: (
                 handle, content_hash, spec, clause_list, example_list,
-                max(1, int(parallelism)),
             ),
         )
         self._c_batches_served.inc()
@@ -463,7 +461,6 @@ class RemoteEvaluationService:
         spec: Tuple[object, ...],
         examples: Sequence[object],
         variablize: bool = False,
-        parallelism: int = 1,
     ) -> List[object]:
         if not spec or spec[0] not in SATURATION_SPEC_KINDS:
             raise ValueError(
@@ -477,7 +474,6 @@ class RemoteEvaluationService:
             "materialize_saturations",
             lambda handle, content_hash: (
                 handle, content_hash, spec, example_list, bool(variablize),
-                max(1, int(parallelism)),
             ),
         )
         self._c_batches_served.inc()
@@ -487,7 +483,6 @@ class RemoteEvaluationService:
         self,
         clauses: Sequence[object],
         candidates: Sequence[Sequence[object]],
-        parallelism: int = 1,
     ) -> List[Set[Row]]:
         clause_list = list(clauses)
         candidate_list = [tuple(c) for c in candidates]
@@ -499,7 +494,6 @@ class RemoteEvaluationService:
             "query_batch",
             lambda handle, content_hash: (
                 handle, content_hash, clause_list, candidate_list,
-                max(1, int(parallelism)),
             ),
         )
         self._c_batches_served.inc()
@@ -527,14 +521,14 @@ class RemoteEvaluationService:
 
 
 class RemoteBackend(ShardedSQLiteBackend):
-    """``sqlite`` on a persistent server: local pooled storage,
-    server-side evaluation.
+    """``sqlite`` on a persistent server: local storage, server-side
+    evaluation.
 
-    Inherits storage, compiled single-statement evaluation, the snapshot
-    read pool, and payload assembly from the sharded backend — but instead
-    of spawning a local worker fleet, ``coverage_service()`` hands the
-    batch engines a :class:`RemoteEvaluationService` bound to a persistent
-    server.  The local pool still answers anything the batch seam does not
+    Inherits storage, compiled single-statement evaluation, and payload
+    assembly from the sharded backend — but instead of spawning a local
+    worker fleet, ``coverage_service()`` hands the batch engines a
+    :class:`RemoteEvaluationService` bound to a persistent server.  The
+    local connection still answers anything the batch seam does not
     route (direct queries, non-batched fallbacks), so an instance on this
     backend works offline for everything except batched coverage.
     """
@@ -544,14 +538,13 @@ class RemoteBackend(ShardedSQLiteBackend):
     def __init__(
         self,
         connection: Any = None,
-        pool_size: Optional[int] = None,
         address: Optional[str] = None,
         client: Optional[ServiceClient] = None,
         handle: Optional[str] = None,
         token: Optional[str] = None,
         request_timeout: Optional[float] = None,
     ) -> None:
-        super().__init__(connection, pool_size)
+        super().__init__(connection)
         self._address = address
         self._client = client
         self._owns_client = client is None
@@ -579,7 +572,7 @@ class RemoteBackend(ShardedSQLiteBackend):
             self._remote = RemoteEvaluationService(
                 self._client,
                 payload_fn=self._payload,
-                token_fn=self._pool_state,
+                token_fn=self.data_token,
                 handle=self._handle,
                 # Local mutations become one small apply_delta frame instead
                 # of a full payload re-ship (and the server repairs its warm
@@ -595,7 +588,7 @@ class RemoteBackend(ShardedSQLiteBackend):
         return self._remote
 
     def close(self) -> None:
-        """Close the local pool and (when owned) the client connection.
+        """Close the client connection when this backend owns it.
 
         Never touches server state: registered instances and their worker
         fleets stay warm for the next session by design.
@@ -604,8 +597,8 @@ class RemoteBackend(ShardedSQLiteBackend):
             self._client.close()
             self._client = None
         self._remote = None
-        # The inherited teardown (finalizer detach, local service shutdown,
-        # pool close) stays in one place.
+        # The inherited teardown (finalizer detach, local service shutdown)
+        # stays in one place.
         super().close()
 
     def __repr__(self) -> str:

@@ -94,9 +94,7 @@ def _advance_payload(payload: InstancePayload, delta: Delta) -> InstancePayload:
                 target.pop(tuple(row), None)
     for relation, mapping in touched.items():
         rows[relation] = list(mapping)
-    return InstancePayload(
-        payload.schema, rows, backend=payload.backend, pool_size=payload.pool_size
-    )
+    return InstancePayload(payload.schema, rows)
 
 
 #: Request kinds still answered while the server is draining: read-only
@@ -741,14 +739,12 @@ class ServiceServer:
         )
 
     def _coverage_batch(self, payload, ctx) -> List[List[int]]:
-        handle, content_hash, spec, clauses, examples, parallelism = payload
+        handle, content_hash, spec, clauses, examples = payload
         served = self._get(handle)
         with self._locked(served, ctx):
             self._check_version(served, content_hash)
             service = self._service_for(served)
-            covered_lists = service.covered_examples_batch(
-                spec, clauses, examples, parallelism=max(1, int(parallelism))
-            )
+            covered_lists = service.covered_examples_batch(spec, clauses, examples)
             served._c_batches.inc()
         # One example->positions map instead of rescanning all examples per
         # clause; duplicates of an example share coverage, so every one of
@@ -773,16 +769,13 @@ class ServiceServer:
         )
 
     def _materialize_saturations(self, payload, ctx) -> List[object]:
-        handle, content_hash, spec, examples, variablize, parallelism = payload
+        handle, content_hash, spec, examples, variablize = payload
         served = self._get(handle)
         with self._locked(served, ctx):
             self._check_version(served, content_hash)
             service = self._service_for(served)
             clauses = service.materialize_saturations(
-                spec,
-                examples,
-                variablize=bool(variablize),
-                parallelism=max(1, int(parallelism)),
+                spec, examples, variablize=bool(variablize)
             )
             served._c_batches.inc()
         return clauses
@@ -793,14 +786,12 @@ class ServiceServer:
         )
 
     def _query_batch(self, payload, ctx) -> List[Set[Row]]:
-        handle, content_hash, clauses, candidates, parallelism = payload
+        handle, content_hash, clauses, candidates = payload
         served = self._get(handle)
         with self._locked(served, ctx):
             self._check_version(served, content_hash)
             service = self._service_for(served)
-            covered = service.covered_candidates_batch(
-                clauses, candidates, parallelism=max(1, int(parallelism))
-            )
+            covered = service.covered_candidates_batch(clauses, candidates)
             served._c_batches.inc()
         return covered
 
@@ -902,13 +893,15 @@ class ServiceServer:
         try:
             message = transport.recv()
         except WireFormatError as exc:
-            # Old pickle clients (and fuzzers) land here: the frame is
-            # length-prefixed but the body is not a v1 JSON envelope.
+            # Old pickle clients, older JSON clients (and fuzzers) land
+            # here: the frame is length-prefixed but the body is not a
+            # current-version JSON envelope.
             self._reject_handshake(
                 transport,
                 "ProtocolVersionError",
                 f"not a v{WIRE_VERSION} envelope frame ({exc}); "
-                "pickle-era clients must upgrade to the JSON wire format",
+                "pickle-era and older JSON clients must upgrade to wire "
+                f"version {WIRE_VERSION}",
             )
             return None
         except TransportError:

@@ -6,8 +6,8 @@ the example set** (see :mod:`repro.distributed.sharding`).  A coverage batch
 — N candidate clauses against one example list — is split along the example
 axis: every shard tests all clauses against only its own examples, returns
 one bitset per clause, and the coordinator ORs the bitsets back together in
-input order.  Results are therefore invariant in the shard count and the
-parallelism setting; those knobs only move work.
+input order.  Results are therefore invariant in the shard count, which
+only moves work.
 
 Failure semantics (the lifecycle-hardening contract):
 
@@ -412,15 +412,6 @@ class EvaluationService:
     # ------------------------------------------------------------------ #
     # Batched coverage
     # ------------------------------------------------------------------ #
-    def _worker_parallelism(self, parallelism: int) -> int:
-        """Per-worker thread fan-out for a caller-requested parallelism.
-
-        The shard processes already are the parallelism, so the requested
-        fan-out is divided across them — ``shards=4, parallelism=4`` runs 4
-        single-threaded workers, not 16 threads.  Never affects results.
-        """
-        return max(1, int(parallelism) // max(1, len(self._handles)))
-
     def _scatter(
         self,
         kind: str,
@@ -497,7 +488,6 @@ class EvaluationService:
         spec: Tuple[object, ...],
         clauses: Sequence[object],
         examples: Sequence[object],
-        parallelism: int = 1,
     ) -> List[List[object]]:
         """Covered example subsets for N clauses, in input order.
 
@@ -518,12 +508,11 @@ class EvaluationService:
             return [[] for _ in clause_list]
         self._ensure_ready()
         keys = [(e.target, e.values, e.positive) for e in example_list]
-        worker_parallelism = self._worker_parallelism(parallelism)
         covered = self._fan_out(
             "coverage_batch",
             keys,
             example_list,
-            lambda slice_items: (spec, clause_list, slice_items, worker_parallelism),
+            lambda slice_items: (spec, clause_list, slice_items),
             len(clause_list),
         )
         return [
@@ -535,7 +524,6 @@ class EvaluationService:
         spec: Tuple[object, ...],
         examples: Sequence[object],
         variablize: bool = False,
-        parallelism: int = 1,
     ) -> List[object]:
         """Bottom clauses / saturations for a whole example set, in order.
 
@@ -556,17 +544,11 @@ class EvaluationService:
             return []
         self._ensure_ready()
         keys = [(e.target, e.values, e.positive) for e in example_list]
-        worker_parallelism = self._worker_parallelism(parallelism)
         buckets, shard_results = self._scatter(
             "materialize_saturations",
             keys,
             example_list,
-            lambda slice_examples: (
-                spec,
-                slice_examples,
-                bool(variablize),
-                worker_parallelism,
-            ),
+            lambda slice_examples: (spec, slice_examples, bool(variablize)),
         )
         results: List[object] = [None] * len(example_list)
         for shard, clauses in shard_results:
@@ -578,7 +560,6 @@ class EvaluationService:
         self,
         clauses: Sequence[object],
         candidates: Sequence[Sequence[object]],
-        parallelism: int = 1,
     ) -> List[Set[Row]]:
         """Query-based coverage of candidate head tuples, one set per clause.
 
@@ -602,7 +583,6 @@ class EvaluationService:
         chunks: List[List[int]] = [[] for _ in range(shard_count)]
         for index in range(len(clause_list)):
             chunks[index % shard_count].append(index)
-        worker_parallelism = self._worker_parallelism(parallelism)
         tracer = obs_tracer()
         trace_ctx = tracer.inject()
 
@@ -615,10 +595,7 @@ class EvaluationService:
                     sub_clauses = [clause_list[i] for i in chunks[shard]]
                     masks = self._request_with_retry(
                         self._handles[shard],
-                        (
-                            "query_batch",
-                            (sub_clauses, candidate_list, worker_parallelism),
-                        ),
+                        ("query_batch", (sub_clauses, candidate_list)),
                     )
             self._handles[shard]._c_batches.inc()
             return shard, masks

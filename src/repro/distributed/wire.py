@@ -33,7 +33,7 @@ import hashlib
 import json
 from typing import Any, Callable, Dict, List, Tuple
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 # Nesting deeper than this is rejected outright.  Legitimate payloads are a
 # handful of levels deep (envelope -> tuple -> rows -> tuple); the guard is
@@ -195,8 +195,6 @@ def _encode_domain(tag: str, value: Any, depth: int) -> List[Any]:
         return [
             enc(value.schema),
             [[name, rows] for name, rows in rows_obj.items()],
-            value.backend,
-            value.pool_size,
         ]
     raise WireFormatError(f"unknown domain tag {tag!r}")  # pragma: no cover
 
@@ -383,13 +381,7 @@ def _build_decoders() -> Dict[str, Callable[[List[Any], int], Any]]:
         return Delta(ops)
 
     def dec_instpayload(items, depth):
-        schema, relations, backend, pool_size = _arity(items, 4, "instpayload")
-        if backend is not None and not isinstance(backend, str):
-            raise WireFormatError("payload backend must be a string or null")
-        if pool_size is not None and (
-            not isinstance(pool_size, int) or isinstance(pool_size, bool)
-        ):
-            raise WireFormatError("payload pool_size must be an int or null")
+        schema, relations = _arity(items, 2, "instpayload")
         if not isinstance(relations, list):
             raise WireFormatError("payload relations must be a list")
         rows: Dict[str, List[Tuple[Any, ...]]] = {}
@@ -403,9 +395,7 @@ def _build_decoders() -> Dict[str, Callable[[List[Any], int], Any]]:
                 dec_row(row, depth) if isinstance(row, list) else _bad_row()
                 for row in encoded_rows
             ]
-        return InstancePayload(
-            decode_value(schema, depth), rows, backend=backend, pool_size=pool_size
-        )
+        return InstancePayload(decode_value(schema, depth), rows)
 
     def _bad_row():
         raise WireFormatError("payload row must be an array of cells")

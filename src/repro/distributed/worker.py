@@ -1,10 +1,9 @@
 """The shard worker: one process owning one slice of the evaluation work.
 
 A worker receives an **instance payload** (schema + relation rows), rebuilds
-the database on its own SQLite-family backend (``sqlite`` with a snapshot
-read pool by default, so intra-worker ``parallelism`` reuses that machinery),
-and then serves coverage requests until told to shut down.  Per-engine state
-— in particular each example's materialized saturation in the worker's
+the database on its own ``sqlite`` backend, and then serves coverage
+requests until told to shut down.  Per-engine state — in particular each
+example's materialized saturation in the worker's
 :class:`~repro.database.sqlite_backend.SaturationStore` — lives as long as
 the process, so repeated batches (generations of a covering run, folds of a
 cross-validation) hit a warm store instead of rebuilding it.
@@ -26,7 +25,7 @@ from __future__ import annotations
 import os
 import pickle
 import traceback
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .protocol import PipeTransport, TransportError
 
@@ -44,19 +43,11 @@ SATURATION_SPEC_KINDS = ("bottom", "castor-bottom")
 class InstancePayload:
     """Everything a worker needs to rebuild the database instance."""
 
-    __slots__ = ("schema", "rows", "backend", "pool_size")
+    __slots__ = ("schema", "rows")
 
-    def __init__(
-        self,
-        schema,
-        rows: Dict[str, List[Row]],
-        backend: str = "sqlite",
-        pool_size: Optional[int] = None,
-    ):
+    def __init__(self, schema, rows: Dict[str, List[Row]]):
         self.schema = schema
         self.rows = rows
-        self.backend = str(backend)
-        self.pool_size = pool_size
 
     def __repr__(self) -> str:
         tuples = sum(len(r) for r in self.rows.values())
@@ -75,18 +66,10 @@ class WorkerState:
     # Instance / engines
     # ------------------------------------------------------------------ #
     def _rebuild(self, payload: InstancePayload) -> None:
-        from ..database.backend import create_backend
         from ..database.instance import DatabaseInstance
-        from ..database.sqlite_backend import SQLiteBackend, default_pool_size
+        from ..database.sqlite_backend import SQLiteBackend
 
-        if payload.backend == "sqlite":
-            pool_size = payload.pool_size
-            backend = SQLiteBackend(
-                pool_size=default_pool_size() if pool_size is None else pool_size
-            )
-        else:
-            backend = create_backend(payload.backend)
-        self.instance = DatabaseInstance(payload.schema, backend=backend)
+        self.instance = DatabaseInstance(payload.schema, backend=SQLiteBackend())
         for name, rows in payload.rows.items():
             self.instance.add_tuples(name, rows)
         # Engines (and their saturation stores) and cached bottom-clause
@@ -233,16 +216,13 @@ class WorkerState:
 
         Returns one :class:`~repro.logic.clauses.HornClause` per example in
         slice order; the coordinator reassembles input order from the
-        sticky example partition.  The payload's ``parallelism`` field is
-        reserved: worker-rebuilt builders run compiled lookups, whose
-        level-synchronized batch is already optimal, so the engine's
-        thread-chunk path never triggers here today.
+        sticky example partition.
         """
         from ..learning.bottom_clause import BatchSaturationEngine
 
-        spec, examples, variablize, parallelism = payload
+        spec, examples, variablize = payload
         builder = self._builder_for(spec)
-        engine = BatchSaturationEngine(builder, parallelism=max(1, int(parallelism)))
+        engine = BatchSaturationEngine(builder)
         return engine.build_batch(examples, variablize=bool(variablize))
 
     def handle_ping(self, _payload) -> str:
@@ -264,11 +244,9 @@ class WorkerState:
 
     def handle_coverage_batch(self, payload) -> List[int]:
         """Subsumption/query coverage of N clauses over this shard's examples."""
-        spec, clauses, examples, parallelism = payload
+        spec, clauses, examples = payload
         engine = self._engine_for(spec)
-        covered_lists = engine.covered_examples_batch(
-            clauses, examples, parallelism=max(1, int(parallelism))
-        )
+        covered_lists = engine.covered_examples_batch(clauses, examples)
         masks: List[int] = []
         for covered in covered_lists:
             covered_set = set(covered)
@@ -288,13 +266,11 @@ class WorkerState:
         """
         from ..database.query import QueryEvaluator
 
-        clauses, candidates, parallelism = payload
+        clauses, candidates = payload
         if self.instance is None:
             raise RuntimeError("worker received a batch before init")
         evaluator = QueryEvaluator(self.instance)
-        covered_sets = evaluator.covered_tuples_batch(
-            clauses, candidates, parallelism=max(1, int(parallelism))
-        )
+        covered_sets = evaluator.covered_tuples_batch(clauses, candidates)
         masks: List[int] = []
         for covered in covered_sets:
             mask = 0

@@ -100,9 +100,9 @@ def run_variant(
 
     The run rides ``session``'s prepared instances, warm evaluation
     services, and shared saturation stores (repeat calls start warm); its
-    :class:`~repro.session.config.SessionConfig` selects the backend, the
-    clause-scoring fan-out, and the shard count (results are identical for
-    every value; only wall-clock time changes).  Without ``session`` the
+    :class:`~repro.session.config.SessionConfig` selects the backend and
+    the shard count (results are identical for every value; only
+    wall-clock time changes).  Without ``session`` the
     call opens (and closes) a default ``LearningSession()``.  With the
     config's ``reuse_saturation_store`` (default), learners with compiled
     subsumption coverage share one warm :class:`SaturationStore` across the

@@ -30,7 +30,6 @@ from .reporting import format_paper_table
 # Learner factories (shared parameter choices, Section 9.1.2)
 # --------------------------------------------------------------------- #
 def castor_spec(
-    threads: int = 1,
     use_subset_inds: bool = False,
     promote_inds_from_data: bool = False,
     name: str = "Castor",
@@ -50,7 +49,6 @@ def castor_spec(
                     max_depth=3, max_distinct_variables=15
                 ),
             ),
-            threads=threads,
         )
 
     return LearnerSpec(name, factory)

@@ -33,8 +33,6 @@ class FoilParameters:
     literals): the top candidates by coverage are each extended by one more
     literal and the best gaining *pair* is added.
 
-    ``parallelism`` bounds how many candidate refinements one scoring batch
-    may evaluate concurrently (identical results for every value);
     ``max_seconds`` is the covering loop's soft deadline — when it elapses,
     the clauses accepted so far are returned.
     """
@@ -49,7 +47,6 @@ class FoilParameters:
         lookahead_extensions: int = 60,
         refinement: Optional[RefinementConfig] = None,
         max_seconds: Optional[float] = None,
-        parallelism: int = 1,
     ):
         self.max_clause_length = int(max_clause_length)
         self.min_precision = float(min_precision)
@@ -59,7 +56,6 @@ class FoilParameters:
         self.lookahead_extensions = int(lookahead_extensions)
         self.refinement = refinement or RefinementConfig()
         self.max_seconds = max_seconds
-        self.parallelism = max(1, int(parallelism))
 
 
 class _FoilClauseLearner:
@@ -71,9 +67,7 @@ class _FoilClauseLearner:
         self.schema = schema
         self.parameters = parameters
         self.coverage = coverage
-        self.batch = BatchCoverageEngine(
-            coverage, parallelism=getattr(parameters, "parallelism", 1)
-        )
+        self.batch = BatchCoverageEngine(coverage)
 
     def learn_clause(
         self,
@@ -205,15 +199,6 @@ class FoilLearner:
         self.schema = schema
         self.parameters = parameters or FoilParameters()
 
-    @property
-    def parallelism(self) -> int:
-        """Clause-level scoring fan-out (the experiment harness sets this)."""
-        return self.parameters.parallelism
-
-    @parallelism.setter
-    def parallelism(self, value: int) -> None:
-        self.parameters.parallelism = max(1, int(value))
-
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         """Learn a Horn definition of the examples' target relation."""
         coverage = QueryCoverageEngine(instance)
@@ -231,7 +216,6 @@ class FoilLearner:
                 min_positives=self.parameters.min_positives,
                 max_clauses=self.parameters.max_clauses,
                 max_seconds=self.parameters.max_seconds,
-                parallelism=self.parameters.parallelism,
             ),
         )
         return covering.learn(instance, examples)

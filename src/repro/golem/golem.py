@@ -23,7 +23,7 @@ from ..foil.gain import precision
 from ..learning.bottom_clause import BottomClauseConfig
 from ..learning.coverage import SubsumptionCoverageEngine
 from ..learning.covering import CoveringLearner, CoveringParameters
-from ..learning.knobs import EvaluationKnobs, ThreadsAsParallelism
+from ..learning.knobs import EvaluationKnobs
 from ..learning.examples import Example, ExampleSet
 from ..logic.clauses import HornClause, HornDefinition
 from ..logic.lgg import lgg_clauses, rlgg
@@ -163,7 +163,7 @@ class _GolemClauseLearner:
         return result.precision() >= self.parameters.min_precision
 
 
-class GolemLearner(EvaluationKnobs, ThreadsAsParallelism):
+class GolemLearner(EvaluationKnobs):
     """Public Golem learner: rlgg-based bottom-up induction."""
 
     name = "Golem"
@@ -172,17 +172,14 @@ class GolemLearner(EvaluationKnobs, ThreadsAsParallelism):
         self,
         schema: Schema,
         parameters: Optional[GolemParameters] = None,
-        threads: int = 1,
     ):
         self.schema = schema
         self.parameters = parameters or GolemParameters()
-        self.threads = max(1, int(threads))
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         coverage = SubsumptionCoverageEngine(
             instance,
             self.parameters.bottom_clause,
-            threads=self.threads,
             saturation_store=self.saturation_store,
         )
         clause_learner = _GolemClauseLearner(self.parameters, coverage)

@@ -439,15 +439,14 @@ class BatchSaturationEngine:
       along the example axis (the same sticky assignment coverage uses, so
       each example is saturated on the worker that owns it) and the
       constructed clauses are shipped back in input order;
-    * otherwise the builder runs locally, optionally across a thread pool.
+    * otherwise the builder runs locally.
 
-    Results are identical for every route and ``parallelism`` value —
-    construction order inside one example's clause never depends on either.
+    Results are identical for every route — construction order inside one
+    example's clause never depends on it.
     """
 
-    def __init__(self, builder: BottomClauseBuilder, parallelism: int = 1):
+    def __init__(self, builder: BottomClauseBuilder):
         self.builder = builder
-        self.parallelism = max(1, int(parallelism))
         # Registry-backed counter (per-engine series so a fresh engine reads
         # zero); the plain-attribute read below is the stable public surface.
         self._c_sharded_batches = obs_registry().counter(
@@ -479,7 +478,7 @@ class BatchSaturationEngine:
         if spec is None:
             return None
         clauses = service_fn().materialize_saturations(
-            spec, examples, variablize=variablize, parallelism=self.parallelism
+            spec, examples, variablize=variablize
         )
         self._c_sharded_batches.inc()
         return clauses
@@ -490,10 +489,7 @@ class BatchSaturationEngine:
         """One clause per example, in input order.
 
         Locally the builder constructs the generation level-synchronously
-        (one frontier lookup per depth level for all examples); on the
-        per-value lookup path ``parallelism > 1`` additionally chunks the
-        generation round-robin across a thread pool, each chunk still
-        level-synchronized internally.
+        (one frontier lookup per depth level for all examples).
         """
         example_list = list(examples)
         if not example_list:
@@ -502,38 +498,9 @@ class BatchSaturationEngine:
             sharded = self._sharded_batch(example_list, variablize)
             if sharded is not None:
                 return sharded
-        build_many = (
-            self.builder.build_many if variablize else self.builder.build_ground_many
-        )
-        # Thread chunking only pays on the per-value lookup path.  With
-        # compiled lookups one level-synchronized batch is already optimal:
-        # chunking would multiply the per-level statements (one per chunk,
-        # serialized on the backend's frontier lock) and split the
-        # batch-scoped join cache.
-        if (
-            self.parallelism > 1
-            and len(example_list) > 1
-            and not getattr(self.builder, "use_compiled_lookups", False)
-        ):
-            from concurrent.futures import ThreadPoolExecutor
-
-            workers = min(self.parallelism, len(example_list))
-            chunks: List[List[int]] = [[] for _ in range(workers)]
-            for index in range(len(example_list)):
-                chunks[index % workers].append(index)
-            results: List[Optional[HornClause]] = [None] * len(example_list)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for indices, clauses in zip(
-                    chunks,
-                    pool.map(
-                        lambda idx: build_many([example_list[i] for i in idx]),
-                        chunks,
-                    ),
-                ):
-                    for position, clause in zip(indices, clauses):
-                        results[position] = clause
-            return results
-        return build_many(example_list)
+        if variablize:
+            return self.builder.build_many(example_list)
+        return self.builder.build_ground_many(example_list)
 
     def build_ground_batch(self, examples: Sequence[Example]) -> List[HornClause]:
         """Ground saturations for a whole example generation, in input order."""

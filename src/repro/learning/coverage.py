@@ -4,8 +4,7 @@ Two strategies are provided, mirroring Section 7.5:
 
 * **Subsumption coverage** — a clause covers example ``e`` iff it θ-subsumes
   the ground bottom clause of ``e``.  This is Castor's (and ProGolem's)
-  strategy; saturations are built once per example and cached.  Coverage of
-  independent examples can be tested in parallel with a thread pool, and a
+  strategy; saturations are built once per example and cached.  A
   per-(clause, example) cache plus a generality shortcut ("if C covers e then
   any generalization of C covers e") avoids repeated work.  When enabled,
   the **compiled** path materializes saturations into a
@@ -18,14 +17,13 @@ Two strategies are provided, mirroring Section 7.5:
 Both engines additionally answer **batched** requests — N candidate clauses
 against one example set — through :class:`BatchCoverageEngine`, which the
 covering loop uses to score a whole generation of refinements in one call
-(fanned out across a snapshot read pool on a pooled ``sqlite`` backend).
+(fanned out across the worker fleet when ``sqlite`` is placed on shards).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..database.delta import Delta
@@ -121,7 +119,7 @@ class CoverageResult:
 
 
 class SubsumptionCoverageEngine:
-    """θ-subsumption-based coverage with saturation caching and parallelism.
+    """θ-subsumption-based coverage with saturation and coverage caching.
 
     Parameters
     ----------
@@ -129,9 +127,6 @@ class SubsumptionCoverageEngine:
         The background database.
     saturation_config:
         Limits for ground bottom-clause construction of examples.
-    threads:
-        Number of worker threads used for coverage tests (Figure 2 studies
-        the effect of this knob); 1 means fully sequential.
     compiled:
         ``True`` pushes set-at-a-time coverage into SQL: saturations are
         additionally materialized into a
@@ -158,7 +153,6 @@ class SubsumptionCoverageEngine:
         self,
         instance: DatabaseInstance,
         saturation_config: Optional[BottomClauseConfig] = None,
-        threads: int = 1,
         compiled: Optional[bool] = None,
         saturation_store: Optional[SaturationStore] = None,
     ):
@@ -172,15 +166,14 @@ class SubsumptionCoverageEngine:
         # clears them on rebind).
         self.builder = self._make_builder(instance, saturation_config)
         self.subsumption = SubsumptionEngine()
-        self.threads = max(1, int(threads))
         if compiled is None:
             compiled = instance.backend_name.startswith("sqlite")
         self.compiled_enabled = bool(compiled)
         self._compiled_store: Optional[SaturationStore] = saturation_store
         self._lock = threading.Lock()
-        # Serializes store creation + materialization so concurrent batch
-        # workers never race to create two stores (whose independent id
-        # sequences would collide in _compiled_ids).
+        # Serializes store creation + materialization so a prefetch thread
+        # and the learner never race to create two stores (whose independent
+        # id sequences would collide in _compiled_ids).
         self._materialize_lock = threading.Lock()
         _labels = {"engine": next(_ENGINE_SEQ)}
         self._c_tests = obs_registry().counter(
@@ -310,8 +303,7 @@ class SubsumptionCoverageEngine:
         """The subset of ``examples`` covered by ``clause``.
 
         On the compiled path one SQL statement tests the clause against every
-        materialized saturation; otherwise the examples are tested one by one
-        (optionally across the engine's thread pool).
+        materialized saturation; otherwise the examples are tested one by one.
         """
         if self.compiled_enabled and len(examples) >= self.COMPILED_MIN_EXAMPLES:
             # The compiled route batch-prepares inside _materialize.
@@ -320,33 +312,17 @@ class SubsumptionCoverageEngine:
                 return compiled
         if len(examples) > 1:
             self.prepare(examples)
-        if self.threads == 1 or len(examples) < 4:
-            return [e for e in examples if self.covers(clause, e)]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            flags = list(pool.map(lambda e: self.covers(clause, e), examples))
-        return [example for example, flag in zip(examples, flags) if flag]
+        return [e for e in examples if self.covers(clause, e)]
 
     def covered_examples_batch(
-        self,
-        clauses: Sequence[HornClause],
-        examples: Sequence[Example],
-        parallelism: int = 1,
+        self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[List[Example]]:
         """Covered subsets for N clauses against one example list, in order.
 
         Saturations are materialized once for the whole batch; each clause
         then costs one compiled statement (or the cached/Python fallback).
-        ``parallelism`` fans clauses out across threads — results are
-        identical and in input order for any value.
         """
-        clause_list = list(clauses)
-        if parallelism <= 1 or len(clause_list) < 2:
-            return [self.covered_examples(c, examples) for c in clause_list]
-        workers = min(int(parallelism), len(clause_list))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda c: self.covered_examples(c, examples), clause_list)
-            )
+        return [self.covered_examples(c, examples) for c in clauses]
 
     def covered_mask(self, clause: HornClause, examples: Sequence[Example]) -> int:
         """Positional coverage bitmask of ``clause`` over ``examples``.
@@ -358,15 +334,10 @@ class SubsumptionCoverageEngine:
         return examples_mask(self.covered_examples(clause, examples), examples)
 
     def covered_masks_batch(
-        self,
-        clauses: Sequence[HornClause],
-        examples: Sequence[Example],
-        parallelism: int = 1,
+        self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[int]:
         """Positional coverage bitmasks for N clauses, in input order."""
-        covered_lists = self.covered_examples_batch(
-            clauses, examples, parallelism=parallelism
-        )
+        covered_lists = self.covered_examples_batch(clauses, examples)
         return [examples_mask(covered, examples) for covered in covered_lists]
 
     def shard_spec(self) -> Optional[Tuple[object, ...]]:
@@ -617,23 +588,16 @@ class QueryCoverageEngine:
         return [example for example in examples if example.values in covered]
 
     def covered_examples_batch(
-        self,
-        clauses: Sequence[HornClause],
-        examples: Sequence[Example],
-        parallelism: int = 1,
+        self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[List[Example]]:
         """Covered subsets for N clauses against one example list, in order.
 
         The whole batch is handed to the evaluator in one call; SQLite-family
-        backends amortize the candidate temp table across the batch, and the
-        pooled ``sqlite`` backend additionally fans clauses out over snapshot
-        connections when ``parallelism > 1``.
+        backends amortize the candidate temp table across the batch.
         """
         clause_list = list(clauses)
         values = [example.values for example in examples]
-        covered_sets = self.evaluator.covered_tuples_batch(
-            clause_list, values, parallelism=parallelism
-        )
+        covered_sets = self.evaluator.covered_tuples_batch(clause_list, values)
         self._c_tests.inc(len(examples) * len(clause_list))
         return [
             [example for example in examples if example.values in covered]
@@ -645,15 +609,10 @@ class QueryCoverageEngine:
         return examples_mask(self.covered_examples(clause, examples), examples)
 
     def covered_masks_batch(
-        self,
-        clauses: Sequence[HornClause],
-        examples: Sequence[Example],
-        parallelism: int = 1,
+        self, clauses: Sequence[HornClause], examples: Sequence[Example]
     ) -> List[int]:
         """Positional coverage bitmasks for N clauses, in input order."""
-        covered_lists = self.covered_examples_batch(
-            clauses, examples, parallelism=parallelism
-        )
+        covered_lists = self.covered_examples_batch(clauses, examples)
         return [examples_mask(covered, examples) for covered in covered_lists]
 
     # NOTE: deliberately no ``shard_spec`` here.  Query coverage reaches the
@@ -712,9 +671,7 @@ class BatchCoverageEngine:
 
     Wraps either coverage engine and dispatches to its batched entry point,
     so the covering loop stays agnostic of the subsumption-vs-query
-    distinction.  Results always come back in input order and are identical
-    for every ``parallelism`` value — parallelism only changes wall-clock
-    time, never which examples a clause covers.
+    distinction.  Results always come back in input order.
 
     When the engine's instance lives on a backend exposing a sharded
     evaluation service (``sqlite`` placed on ``shards``) and the engine publishes a
@@ -723,9 +680,8 @@ class BatchCoverageEngine:
     back into input order — same results, N processes.
     """
 
-    def __init__(self, engine, parallelism: int = 1):
+    def __init__(self, engine):
         self.engine = engine
-        self.parallelism = max(1, int(parallelism))
 
     def _sharded_batch(
         self, clauses: List[HornClause], examples: Sequence[Example]
@@ -741,9 +697,7 @@ class BatchCoverageEngine:
         spec = spec_fn()
         if spec is None:
             return None
-        return service_fn().covered_examples_batch(
-            spec, clauses, examples, parallelism=self.parallelism
-        )
+        return service_fn().covered_examples_batch(spec, clauses, examples)
 
     def covered_examples_batch(
         self, clauses: Sequence[HornClause], examples: Sequence[Example]
@@ -755,16 +709,7 @@ class BatchCoverageEngine:
             return sharded
         batch = getattr(self.engine, "covered_examples_batch", None)
         if batch is not None:
-            return batch(clause_list, examples, parallelism=self.parallelism)
-        if self.parallelism > 1 and len(clause_list) > 1:
-            workers = min(self.parallelism, len(clause_list))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(
-                    pool.map(
-                        lambda c: self.engine.covered_examples(c, examples),
-                        clause_list,
-                    )
-                )
+            return batch(clause_list, examples)
         return [self.engine.covered_examples(c, examples) for c in clause_list]
 
     def covered_masks_batch(
@@ -772,7 +717,7 @@ class BatchCoverageEngine:
     ) -> List[int]:
         """Positional coverage bitmasks for N clauses, in input order.
 
-        Routes through the same sharded/pooled/batched machinery as
+        Routes through the same sharded/batched machinery as
         :meth:`covered_examples_batch`; the per-shard covered subsets are
         merged into one int per clause (bit ``i`` = example ``i``).
         """
@@ -782,7 +727,7 @@ class BatchCoverageEngine:
             return [examples_mask(covered, examples) for covered in sharded]
         masks = getattr(self.engine, "covered_masks_batch", None)
         if masks is not None:
-            return masks(clause_list, examples, parallelism=self.parallelism)
+            return masks(clause_list, examples)
         return [
             examples_mask(covered, examples)
             for covered in self.covered_examples_batch(clause_list, examples)

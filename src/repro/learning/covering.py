@@ -43,11 +43,7 @@ class CoveringParameters:
 
     ``max_seconds`` is a soft deadline: once it has elapsed, the loop stops
     learning further clauses and returns the definition accumulated so far
-    (it never raises and never discards accepted clauses).  ``parallelism``
-    records how many candidate clauses the learner's scoring batches may
-    evaluate concurrently; the covering loop itself is sequential, but clause
-    learners read the knob when building their
-    :class:`~repro.learning.coverage.BatchCoverageEngine`.
+    (it never raises and never discards accepted clauses).
     """
 
     def __init__(
@@ -56,13 +52,11 @@ class CoveringParameters:
         min_positives: int = 2,
         max_clauses: int = 50,
         max_seconds: Optional[float] = None,
-        parallelism: int = 1,
     ):
         self.min_precision = float(min_precision)
         self.min_positives = int(min_positives)
         self.max_clauses = int(max_clauses)
         self.max_seconds = max_seconds
-        self.parallelism = max(1, int(parallelism))
 
 
 class CoveringLearner:

@@ -24,14 +24,3 @@ class EvaluationKnobs:
     #: (sessions hand one out so repeated runs start warm).
     saturation_store: Any = None
 
-
-class ThreadsAsParallelism:
-    """Mixin for learners whose only fan-out is the engine thread pool."""
-
-    @property
-    def parallelism(self) -> int:
-        return self.threads
-
-    @parallelism.setter
-    def parallelism(self, value: int) -> None:
-        self.threads = max(1, int(value))

@@ -15,9 +15,9 @@ touches coverage.
 Materialization is idempotent and deterministic, so overlapping it changes
 wall-clock time only, never results.  Callers must gate on the backend's
 ``supports_concurrent_reads`` capability: the prefetch thread reads the
-instance concurrently with the caller, which the single-connection
-``sqlite`` backend does not tolerate (memory / pooled / sharded backends
-do).
+instance concurrently with the caller, which the in-process
+single-connection ``sqlite`` backend does not tolerate (memory and sharded
+backends do).
 """
 
 from __future__ import annotations

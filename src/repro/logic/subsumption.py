@@ -6,30 +6,25 @@ sets).  Coverage testing in bottom-up learners reduces to θ-subsumption
 between a candidate clause and the *ground bottom clause* of an example
 (Section 7.5.3), so this module is the hottest path of the whole library.
 
-Two engines are provided:
+:class:`SubsumptionEngine` is the production kernel.  Terms and predicates
+of the specific clause are **interned to integer ids** once per
+:class:`GroundClauseIndex`, so the inner matching loop compares plain ints
+instead of hashing :class:`~repro.logic.terms.Term` objects; bindings live
+in a flat slot array with trail-based undo (no per-candidate substitution
+dict copies); the backtracking search runs on an **explicit stack** (no
+recursion, no ``remaining[:i] + remaining[i+1:]`` list churn); the general
+clause's body is decomposed into **variable-connected components** solved
+independently (a product of small searches instead of one big one); and
+candidate lists are **memoized per (pattern, bound-profile)** within a
+search.  Decisions are identical to the original recursive engine (kept
+with the tests as the executable specification) whenever the backtrack
+budget is not exhausted.
 
-* :class:`SubsumptionEngine` — the production kernel.  Terms and predicates
-  of the specific clause are **interned to integer ids** once per
-  :class:`GroundClauseIndex`, so the inner matching loop compares plain ints
-  instead of hashing :class:`~repro.logic.terms.Term` objects; bindings live
-  in a flat slot array with trail-based undo (no per-candidate substitution
-  dict copies); the backtracking search runs on an **explicit stack** (no
-  recursion, no ``remaining[:i] + remaining[i+1:]`` list churn); the general
-  clause's body is decomposed into **variable-connected components** solved
-  independently (a product of small searches instead of one big one); and
-  candidate lists are **memoized per (pattern, bound-profile)** within a
-  search.  Decisions are identical to the reference engine whenever the
-  backtrack budget is not exhausted.
-* :class:`ReferenceSubsumptionEngine` — the original recursive,
-  Term-at-a-time engine, kept as the executable specification: the property
-  suite and the subsumption microbench pit the kernel against it pair by
-  pair.
-
-Both engines share :class:`GroundClauseIndex` — a hash index over the
+The kernel searches a :class:`GroundClauseIndex` — a hash index over the
 specific clause's literals keyed by predicate and by ``(predicate, position,
 term)`` — so that once some variables are bound, the remaining candidates
 are retrieved by index lookup instead of scanning (this mirrors how the
-paper's VoltDB-backed coverage tests exploit RDBMS indexes).  Both use
+paper's VoltDB-backed coverage tests exploit RDBMS indexes).  It uses
 dynamic most-constrained-first literal selection and a backtrack budget so
 pathological clauses cannot stall a learning run; exhausting the budget
 conservatively reports "does not subsume", increments the
@@ -198,9 +193,7 @@ class GroundClauseIndex:
 
     General clauses are compiled against the index's intern tables by
     :meth:`encode` (cached per clause — repeated tests of the same candidate
-    against the same saturation skip re-encoding).  The legacy Term-level
-    ``by_predicate`` / ``by_position`` views used by
-    :class:`ReferenceSubsumptionEngine` are built lazily on first access.
+    against the same saturation skip re-encoding).
     """
 
     __slots__ = (
@@ -214,8 +207,6 @@ class GroundClauseIndex:
         "_pos_index",
         "_encoded",
         "_encode_lock",
-        "_legacy_by_predicate",
-        "_legacy_by_position",
     )
 
     def __init__(self, clause: HornClause):
@@ -266,8 +257,6 @@ class GroundClauseIndex:
         self._pos_index = pos_index
         self._encoded: Dict[HornClause, _EncodedClause] = {}
         self._encode_lock = threading.Lock()
-        self._legacy_by_predicate: Optional[Dict[Tuple[str, int], List[Atom]]] = None
-        self._legacy_by_position: Optional[Dict[Tuple[str, int, int, Term], List[Atom]]] = None
 
     # ------------------------------------------------------------------ #
     # Interned representation
@@ -345,63 +334,9 @@ class GroundClauseIndex:
             components=shape.components,
         )
 
-    # ------------------------------------------------------------------ #
-    # Legacy Term-level views (reference engine + compatibility)
-    # ------------------------------------------------------------------ #
-    def _build_legacy(self) -> None:
-        by_predicate: Dict[Tuple[str, int], List[Atom]] = {}
-        by_position: Dict[Tuple[str, int, int, Term], List[Atom]] = {}
-        for atom in self._atoms:
-            key = (atom.predicate, atom.arity)
-            by_predicate.setdefault(key, []).append(atom)
-            for position, term in enumerate(atom.terms):
-                by_position.setdefault(
-                    (atom.predicate, atom.arity, position, term), []
-                ).append(atom)
-        self._legacy_by_predicate = by_predicate
-        self._legacy_by_position = by_position
-
-    @property
-    def by_predicate(self) -> Dict[Tuple[str, int], List[Atom]]:
-        if self._legacy_by_predicate is None:
-            self._build_legacy()
-        return self._legacy_by_predicate  # type: ignore[return-value]
-
-    @property
-    def by_position(self) -> Dict[Tuple[str, int, int, Term], List[Atom]]:
-        if self._legacy_by_position is None:
-            self._build_legacy()
-        return self._legacy_by_position  # type: ignore[return-value]
-
-    def candidates(self, pattern: Atom, theta: Substitution) -> List[Atom]:
-        """Literals that could match ``pattern`` under the current bindings.
-
-        Every pattern argument that is a constant or an already-bound variable
-        narrows the candidate set through the positional index; the smallest
-        such set is returned (unfiltered arguments are checked later by the
-        full match).
-        """
-        key = (pattern.predicate, pattern.arity)
-        best = self.by_predicate.get(key)
-        if best is None:
-            return []
-        for position, term in enumerate(pattern.terms):
-            if isinstance(term, Variable):
-                term = theta.get(term)
-                if term is None:
-                    continue
-            narrowed = self.by_position.get(
-                (pattern.predicate, pattern.arity, position, term)
-            )
-            if narrowed is None:
-                return []
-            if len(narrowed) < len(best):
-                best = narrowed
-        return best
-
 
 # --------------------------------------------------------------------- #
-# Budget-exhaustion accounting (shared by both engines)
+# Budget-exhaustion accounting (shared with the reference engine in tests)
 # --------------------------------------------------------------------- #
 _budget_lock = threading.Lock()
 _budget_warned = False
@@ -651,103 +586,6 @@ def _solve_component(
         if not select_and_push():
             continue
     return False, budget
-
-
-class ReferenceSubsumptionEngine:
-    """The original recursive, Term-at-a-time engine (executable spec).
-
-    Kept verbatim as the baseline the fast kernel is validated and benched
-    against: identical public API, identical verdicts (modulo backtrack
-    budget accounting, which both engines report conservatively).
-    """
-
-    def __init__(self, max_backtracks: int = 5_000):
-        self.max_backtracks = int(max_backtracks)
-
-    def subsumes(
-        self,
-        general: HornClause,
-        specific: HornClause,
-        index: Optional[GroundClauseIndex] = None,
-    ) -> bool:
-        """Return True when ``general`` θ-subsumes ``specific``."""
-        return self.subsumption_substitution(general, specific, index) is not None
-
-    def subsumption_substitution(
-        self,
-        general: HornClause,
-        specific: HornClause,
-        index: Optional[GroundClauseIndex] = None,
-    ) -> Optional[Substitution]:
-        """Return a witnessing substitution θ with ``general·θ ⊆ specific``."""
-        theta = match_atom_to_ground(general.head, specific.head)
-        if theta is None:
-            return None
-        body = list(general.body)
-        if not body:
-            return theta
-        if index is None or index.clause is not specific:
-            index = GroundClauseIndex(specific)
-        budget = [self.max_backtracks]
-        result = self._search(body, index, theta, budget)
-        if result is None and budget[0] <= 0:
-            _note_budget_exhausted(self.max_backtracks)
-        return result
-
-    def covers_example(
-        self,
-        clause: HornClause,
-        ground_bottom: HornClause,
-        index: Optional[GroundClauseIndex] = None,
-    ) -> bool:
-        """Coverage test used by bottom-up learners (Section 7.5.3)."""
-        return self.subsumes(clause, ground_bottom, index)
-
-    def equivalent(self, a: HornClause, b: HornClause) -> bool:
-        """Clause equivalence under θ-subsumption (both directions)."""
-        return self.subsumes(a, b) and self.subsumes(b, a)
-
-    # ------------------------------------------------------------------ #
-    # Search internals
-    # ------------------------------------------------------------------ #
-    def _search(
-        self,
-        remaining: List[Atom],
-        index: GroundClauseIndex,
-        theta: Substitution,
-        budget: List[int],
-    ) -> Optional[Substitution]:
-        if not remaining:
-            return theta
-
-        # Dynamic most-constrained-first selection: the literal with the
-        # fewest candidates under the current bindings is matched next, which
-        # both detects dead ends early and keeps the branching factor small.
-        best_position = 0
-        best_candidates: Optional[List[Atom]] = None
-        for position, pattern in enumerate(remaining):
-            candidates = index.candidates(pattern, theta)
-            if not candidates:
-                return None
-            if best_candidates is None or len(candidates) < len(best_candidates):
-                best_candidates = candidates
-                best_position = position
-                if len(candidates) == 1:
-                    break
-
-        pattern = remaining[best_position]
-        rest = remaining[:best_position] + remaining[best_position + 1 :]
-        for candidate in best_candidates or []:
-            if budget[0] <= 0:
-                return None
-            budget[0] -= 1
-            extended = match_atom_to_ground(pattern, candidate, theta)
-            if extended is None:
-                continue
-            result = self._search(rest, index, extended, budget)
-            if result is not None:
-                return result
-        return None
 
 
 _DEFAULT_ENGINE = SubsumptionEngine()

@@ -4,7 +4,7 @@ Design constraints, in order:
 
 * **zero dependencies** — standard library only;
 * **thread-safe** — the server increments from one thread per client, the
-  pooled backend from a worker pool;
+  fleet coordinator from its shard fan-out threads;
 * **cheap when idle** — a metric is a lock plus a number; nothing polls,
   nothing exports until asked;
 * **one seam** — :func:`registry` returns the process singleton every layer

@@ -360,7 +360,7 @@ def span(name: str, **attrs: Any) -> "_Span | _NullSpan":
 def provenance(**extra: Any) -> Dict[str, Any]:
     """The shared provenance block embedded in every ``BENCH_*`` artifact.
 
-    Callers add run-specific configuration (backend, shards, parallelism)
+    Callers add run-specific configuration (backend, shards)
     as keyword arguments; the base block records where the numbers came
     from so two artifacts are comparable at a glance.
     """

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..database.instance import DatabaseInstance
 from ..database.schema import Schema
 from ..foil.gain import coverage_score, foil_gain, precision
-from ..learning.knobs import EvaluationKnobs, ThreadsAsParallelism
+from ..learning.knobs import EvaluationKnobs
 from ..learning.bottom_clause import BottomClauseBuilder, BottomClauseConfig
 from ..learning.coverage import SubsumptionCoverageEngine
 from ..learning.covering import CoveringLearner, CoveringParameters
@@ -161,7 +161,7 @@ class _ProgolClauseLearner:
         return coverage_score(covered_pos, covered_neg, length)
 
 
-class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
+class ProgolLearner(EvaluationKnobs):
     """Aleph-Progol style learner (default settings) with a configurable beam."""
 
     name = "Aleph-Progol"
@@ -170,18 +170,15 @@ class ProgolLearner(EvaluationKnobs, ThreadsAsParallelism):
         self,
         schema: Schema,
         parameters: Optional[ProgolParameters] = None,
-        threads: int = 1,
     ):
         self.schema = schema
         self.parameters = parameters or ProgolParameters()
-        self.threads = max(1, int(threads))
 
     def learn(self, instance: DatabaseInstance, examples: ExampleSet) -> HornDefinition:
         """Learn a Horn definition via bottom-clause-bounded top-down search."""
         coverage = SubsumptionCoverageEngine(
             instance,
             self.parameters.bottom_clause,
-            threads=self.threads,
             saturation_store=self.saturation_store,
         )
         clause_learner = _ProgolClauseLearner(self.schema, self.parameters, coverage)
@@ -211,10 +208,9 @@ class AlephFoilLearner(ProgolLearner):
         schema: Schema,
         clause_length: int = 10,
         parameters: Optional[ProgolParameters] = None,
-        threads: int = 1,
     ):
         if parameters is None:
             parameters = ProgolParameters(
                 clause_length=clause_length, open_list_size=1, scoring="gain"
             )
-        super().__init__(schema, parameters, threads=threads)
+        super().__init__(schema, parameters)

@@ -38,10 +38,7 @@ from .armg import armg
 class ProGolemParameters:
     """ProGolem's knobs (``sample``, ``beamwidth``, ``minprec`` in GILPS).
 
-    ``parallelism`` bounds how many candidate clauses one generation's
-    scoring batch may evaluate concurrently (clause-level fan-out, distinct
-    from the coverage engine's per-example ``threads`` knob); results are
-    identical for every value.  ``max_seconds`` is the covering loop's soft
+    ``max_seconds`` is the covering loop's soft
     deadline: when it elapses, learning stops and the clauses accepted so
     far are returned.
 
@@ -64,7 +61,6 @@ class ProGolemParameters:
         bottom_clause: Optional[BottomClauseConfig] = None,
         seed: int = 0,
         max_seconds: Optional[float] = None,
-        parallelism: int = 1,
         prefetch: Optional[bool] = None,
     ):
         self.sample_size = int(sample_size)
@@ -76,7 +72,6 @@ class ProGolemParameters:
         self.bottom_clause = bottom_clause or BottomClauseConfig(max_depth=2)
         self.seed = int(seed)
         self.max_seconds = max_seconds
-        self.parallelism = max(1, int(parallelism))
         self.prefetch = prefetch
 
 
@@ -99,9 +94,7 @@ class ProGolemClauseLearner:
         self.schema = schema
         self.parameters = parameters
         self.coverage = coverage
-        self.batch = BatchCoverageEngine(
-            coverage, parallelism=getattr(parameters, "parallelism", 1)
-        )
+        self.batch = BatchCoverageEngine(coverage)
         self._rng = random.Random(parameters.seed)
 
     def _prefetch_enabled(self, instance: DatabaseInstance) -> bool:
@@ -126,7 +119,7 @@ class ProGolemClauseLearner:
         """One ARMG application (plain ProGolem semantics).
 
         Blocking-atom prefix probes route through the learner's batch engine
-        so each search round is one batched (poolable/shardable) evaluation.
+        so each search round is one batched (shardable) evaluation.
         """
         return armg(clause, example, self.coverage, batch=self.batch)
 
@@ -207,8 +200,8 @@ class ProGolemClauseLearner:
             sample = sample[: self.parameters.sample_size]
             # Generate the whole generation first, then score it as ONE batch:
             # all candidates share the same example lists, so the coverage
-            # backend amortizes evaluation across them (and fans clauses out
-            # over its connection pool when parallelism > 1).
+            # backend amortizes evaluation across them (and a sharded
+            # placement fans them out over its worker fleet).
             generation: List[HornClause] = []
             for clause in beam:
                 for example in sample:
@@ -267,27 +260,15 @@ class ProGolemLearner(EvaluationKnobs):
         self,
         schema: Schema,
         parameters: Optional[ProGolemParameters] = None,
-        threads: int = 1,
     ):
         self.schema = schema
         self.parameters = parameters or ProGolemParameters()
-        self.threads = threads
-
-    @property
-    def parallelism(self) -> int:
-        """Clause-level scoring fan-out (the experiment harness sets this)."""
-        return self.parameters.parallelism
-
-    @parallelism.setter
-    def parallelism(self, value: int) -> None:
-        self.parameters.parallelism = max(1, int(value))
 
     def build_coverage_engine(self, instance: DatabaseInstance) -> SubsumptionCoverageEngine:
         """Build the coverage engine (overridden by Castor to add IND awareness)."""
         return SubsumptionCoverageEngine(
             instance,
             self.parameters.bottom_clause,
-            threads=self.threads,
             saturation_store=self.saturation_store,
         )
 
@@ -312,7 +293,6 @@ class ProGolemLearner(EvaluationKnobs):
                 min_positives=self.parameters.min_positives,
                 max_clauses=self.parameters.max_clauses,
                 max_seconds=self.parameters.max_seconds,
-                parallelism=self.parameters.parallelism,
             ),
         )
         return covering.learn(instance, examples)

@@ -2,7 +2,7 @@
 
 * :class:`SessionConfig` — storage (``memory``/``sqlite``), placement
   (in process, ``shards=N`` local workers, or a ``service_address=``
-  server), parallelism and saturation-store sharing in one validated
+  server) and saturation-store sharing in one validated
   dataclass;
 * :class:`LearningSession` — owns backend + evaluation-service +
   saturation-store lifecycle, hands out learners

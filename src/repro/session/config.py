@@ -1,6 +1,6 @@
 """`SessionConfig`: the one validated object holding evaluation settings.
 
-Storage, placement, pool and the shared saturation store are set here and
+Storage, placement and the shared saturation store are set here and
 nowhere else — learners take only their algorithm inputs, and the harness
 takes a session.  None of these settings changes a learned definition;
 they only move work.
@@ -14,15 +14,14 @@ they only move work.
   ``memory`` backend is a configuration error with an actionable message,
   not a warning buried in a log);
 * :meth:`SessionConfig.apply` is the single normalization path that pushes
-  the settings onto a learner, warning once for a setting the learner
-  cannot honor;
+  the settings onto a learner;
 * the config is immutable; :meth:`merged` derives variations.
 
 A :class:`~repro.session.session.LearningSession` built from a config owns
 the backend, engine and store lifecycle and hands out configured
 learners::
 
-    with LearningSession(SessionConfig(backend="sqlite", parallelism=4)) as session:
+    with LearningSession(SessionConfig(backend="sqlite", shards=2)) as session:
         learner = session.learner("castor", schema)
 """
 
@@ -31,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from ..database.backend import backend_names, warn_once
+from ..database.backend import backend_names
 
 
 @dataclass(frozen=True)
@@ -44,14 +43,9 @@ class SessionConfig:
         Storage instances are materialized on (``memory``/``sqlite``);
         ``None`` leaves instances as given — or means ``sqlite`` when
         ``shards`` or ``service_address`` picks a placement.
-    parallelism:
-        Clause-scoring fan-out on learners that expose the knob.  Above 1,
-        the ``sqlite`` backend also gets a snapshot read pool of this many
-        connections.  Results are identical for every value; only
-        wall-clock time changes.
     shards:
         Place ``sqlite`` evaluation on a local fleet of this many worker
-        processes.  Like ``parallelism``, never changes results.
+        processes.  Never changes results; only wall-clock time changes.
     reuse_saturation_store:
         Share one warm :class:`~repro.database.sqlite_backend.SaturationStore`
         across the folds/runs a session drives over one instance.
@@ -86,7 +80,6 @@ class SessionConfig:
     """
 
     backend: Optional[str] = None
-    parallelism: Optional[int] = None
     shards: Optional[int] = None
     reuse_saturation_store: bool = True
     service_address: Optional[str] = None
@@ -96,8 +89,6 @@ class SessionConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.parallelism is not None:
-            object.__setattr__(self, "parallelism", int(self.parallelism))
         if self.shards is not None:
             object.__setattr__(self, "shards", int(self.shards))
         placed = self.shards is not None or self.service_address is not None
@@ -114,10 +105,6 @@ class SessionConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
                 f"available: {list(backend_names())}"
-            )
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ValueError(
-                f"parallelism must be >= 1, got {self.parallelism}"
             )
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
@@ -184,27 +171,13 @@ class SessionConfig:
         """Push this config onto a learner.
 
         The single normalization path behind
-        :meth:`~repro.session.session.LearningSession.apply`.  Settings land
-        on learners that expose the matching attribute; an explicit setting
-        a learner cannot honor warns once per distinct situation — never
-        silently ignored, never an error (these knobs only move work;
-        results are identical for every value).
-
+        :meth:`~repro.session.session.LearningSession.apply`.
         ``saturation_store`` is handed to learners with the knob (learners
         without saturations — FOIL's query coverage — skip it silently, as
         there is nothing a store could change).  Backend routing is not
         done here: :meth:`~repro.session.session.LearningSession.prepare`
         owns it.
         """
-        if self.parallelism is not None:
-            if hasattr(learner, "parallelism"):
-                learner.parallelism = self.parallelism
-            else:
-                warn_once(
-                    f"learner {type(learner).__name__} has no "
-                    "'parallelism' knob; ignoring "
-                    f"parallelism={self.parallelism}"
-                )
         if saturation_store is not None and hasattr(learner, "saturation_store"):
             learner.saturation_store = saturation_store
         return learner

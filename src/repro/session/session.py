@@ -8,7 +8,7 @@ hands out learners already normalized onto one validated
 
     from repro import LearningSession, SessionConfig
 
-    with LearningSession(SessionConfig(backend="sqlite", parallelism=4)) as session:
+    with LearningSession(SessionConfig(backend="sqlite", shards=2)) as session:
         learner = session.learner("castor", schema, parameters)
         definition = learner.learn(instance, examples)
         result = session.run(bundle, "original", "progolem", folds=3)
@@ -252,8 +252,7 @@ class LearningSession:
           bound to the session's server connection;
         * ``shards=N`` — a :class:`~repro.distributed.backend.ShardedSQLiteBackend`
           with a local fleet of N workers;
-        * neither — in process; ``sqlite`` gets a snapshot read pool of
-          ``parallelism`` connections when that exceeds 1.
+        * neither — in process.
 
         The cache watches the source's :meth:`~DatabaseInstance.data_token`:
         a mutation between runs re-converts the instance and drops its
@@ -342,14 +341,11 @@ class LearningSession:
                 return None
             return ShardedSQLiteBackend(shards=config.shards)
         if config.backend == "sqlite":
-            # The pool size is fixed at construction (a pooled primary
-            # connection is opened without check_same_thread), so ``sqlite``
-            # with another pool size is another backend.
-            parallelism = config.parallelism or 1
-            pool_size = parallelism if parallelism > 1 else None
-            if type(current) is SQLiteBackend and current.pool_size == pool_size:
+            # Placed backends also report ``sqlite``; only an in-process
+            # one can be kept as is.
+            if type(current) is SQLiteBackend:
                 return None
-            return SQLiteBackend(pool_size=pool_size)
+            return SQLiteBackend()
         if config.backend is None or config.backend == instance.backend_name:
             return None
         return create_backend(config.backend)
@@ -524,7 +520,7 @@ class LearningSession:
         ``kind`` is a registry name (``"castor"``, ``"progolem"``,
         ``"golem"``, ``"foil"``, ``"progol"``, ``"aleph-foil"``) or a
         learner class; ``kwargs`` are the learner's own algorithm inputs
-        (e.g. ``threads``).  The learner is configured through
+        (e.g. ``clause_length``).  The learner is configured through
         :meth:`apply` and wrapped so that ``learn()`` runs on the
         session's prepared instances and shared stores.
         """
@@ -741,8 +737,8 @@ class LearningSession:
     def close(self) -> None:
         """Release every owned resource; idempotent.
 
-        Closes backends this session created (worker fleets, snapshot
-        pools) and the server connection (server-side state deliberately
+        Closes backends this session created (worker fleets) and the
+        server connection (server-side state deliberately
         stays warm).  Instances that were passed in already prepared are
         never touched.
         """

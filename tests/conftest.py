@@ -12,27 +12,33 @@ from repro.database import (
     RelationSchema,
     Schema,
 )
-from repro.database.sqlite_backend import SQLiteBackend
 from repro.datasets import hiv, imdb, uwcse
+from repro.distributed import ShardedSQLiteBackend
 from repro.transform import DecomposeOperation, SchemaTransformation
 from tests.backends import BACKENDS
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch) -> str:
+@pytest.fixture(params=(*BACKENDS, "sqlite-sharded"))
+def backend(request, monkeypatch):
     """Storage/evaluation backend under test; parametrizes the shared
     instance fixtures so every database/learning coverage test runs against
-    the dict-indexed memory backend and SQLite with and without a snapshot
-    read pool.  ``sqlite-pool`` builds every ``"sqlite"`` backend of the
-    test with a pool of 2, so batched coverage fans out over snapshots."""
-    if request.param == "sqlite-pool":
-        monkeypatch.setitem(
-            backend_registry._REGISTRY,
-            "sqlite",
-            lambda: SQLiteBackend(pool_size=2),
-        )
-        return "sqlite"
-    return request.param
+    the dict-indexed memory backend and SQLite, in process and placed on a
+    fleet.  ``sqlite-sharded`` builds every ``"sqlite"`` backend of the test
+    on a two-worker fleet, so batched coverage runs in worker processes and
+    merges their bitsets."""
+    if request.param != "sqlite-sharded":
+        yield request.param
+        return
+    fleets = []
+
+    def placed() -> ShardedSQLiteBackend:
+        fleets.append(ShardedSQLiteBackend(shards=2))
+        return fleets[-1]
+
+    monkeypatch.setitem(backend_registry._REGISTRY, "sqlite", placed)
+    yield "sqlite"
+    for fleet in fleets:
+        fleet.close()
 
 
 @pytest.fixture

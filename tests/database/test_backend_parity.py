@@ -1,10 +1,12 @@
 """Cross-backend parity: all backends must be observationally identical.
 
-These tests materialize the same data on the memory backend and on sqlite
-with and without a snapshot read pool, and assert that query evaluation, binding counts,
-and query-based coverage (sequential and batched) return identical results
+These tests materialize the same data on the memory backend and on sqlite,
+and assert that query evaluation, binding counts, and query-based coverage
+(sequential and batched) return identical results
 — the invariant ``bench_backend_parity.py`` times at larger scale.
 """
+
+import threading
 
 import pytest
 
@@ -12,10 +14,9 @@ from repro.castor.bottom_clause import CastorBottomClauseBuilder, CastorBottomCl
 from repro.database import backend_names, create_backend
 from repro.database.instance import DatabaseInstance
 from repro.database.query import QueryEvaluator
-from repro.database.sqlite_backend import SQLiteBackend
 from repro.learning.coverage import QueryCoverageEngine
 from repro.logic.parser import parse_clause
-from tests.backends import BACKENDS, make_backend
+from tests.backends import BACKENDS
 
 
 
@@ -31,7 +32,7 @@ def _covered_sets(bundle, variant, clauses):
     results = {}
     examples = bundle.examples.all_examples()
     for backend in BACKENDS:
-        instance = bundle.instance(variant).with_backend(make_backend(backend))
+        instance = bundle.instance(variant).with_backend(backend)
         engine = QueryCoverageEngine(instance)
         results[backend] = [
             frozenset(e.values for e in engine.covered_examples(clause, examples))
@@ -78,7 +79,7 @@ class TestCoverageParity:
             clause = parse_clause(text)
             per_backend = {}
             for backend in BACKENDS:
-                instance = uwcse_bundle.instance(variant).with_backend(make_backend(backend))
+                instance = uwcse_bundle.instance(variant).with_backend(backend)
                 engine = QueryCoverageEngine(instance)
                 per_backend[backend] = frozenset(
                     e.values for e in engine.covered_examples(clause, examples)
@@ -95,7 +96,7 @@ class TestEvaluatorParity:
         )
         memory_eval = QueryEvaluator(memory_instance)
         for backend in BACKENDS[1:]:
-            other_eval = QueryEvaluator(memory_instance.with_backend(make_backend(backend)))
+            other_eval = QueryEvaluator(memory_instance.with_backend(backend))
             assert memory_eval.evaluate_clause(clause) == other_eval.evaluate_clause(
                 clause
             ), backend
@@ -110,7 +111,7 @@ class TestEvaluatorParity:
         clause = parse_clause("q(x) :- r1(x, b), r2(x, c).")
         bindings = {}
         for backend in BACKENDS:
-            instance = DatabaseInstance(simple_schema, backend=make_backend(backend))
+            instance = DatabaseInstance(simple_schema, backend=backend)
             instance.add_tuples("r1", [("a1", "b1"), ("a2", "b2")])
             instance.add_tuples("r2", [("a1", "c1"), ("a1", "c2"), ("a2", "c3")])
             evaluator = QueryEvaluator(instance)
@@ -125,7 +126,7 @@ class TestEvaluatorParity:
 
         schema = Schema([RelationSchema("r", ["a", "b"])], name="tiny")
         for backend in BACKENDS:
-            instance = DatabaseInstance(schema, backend=make_backend(backend))
+            instance = DatabaseInstance(schema, backend=backend)
             instance.add_tuple("r", ("x", "y"))
             evaluator = QueryEvaluator(instance)
             missing = parse_clause("q(x) :- nope(x).")
@@ -143,17 +144,17 @@ class TestBackendPlumbing:
 
     def test_with_backend_roundtrip(self, simple_instance):
         for backend in BACKENDS:
-            converted = simple_instance.with_backend(make_backend(backend))
-            assert converted.backend_name == backend.replace("-pool", "")
+            converted = simple_instance.with_backend(backend)
+            assert converted.backend_name == backend
             assert converted.same_contents(simple_instance)
             assert converted == simple_instance
 
 
-class TestPooledBackend:
-    """Behavior specific to sqlite's snapshot read pool."""
+class TestSQLiteBatch:
+    """Batched set-at-a-time coverage on the sqlite backend."""
 
     def _instance(self, simple_schema):
-        instance = DatabaseInstance(simple_schema, backend=make_backend("sqlite-pool"))
+        instance = DatabaseInstance(simple_schema, backend="sqlite")
         instance.add_tuples("r1", [("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
         instance.add_tuples("r2", [("a1", "c1"), ("a2", "c2"), ("a3", "c3")])
         return instance
@@ -168,66 +169,48 @@ class TestPooledBackend:
         candidates = [("a1",), ("a2",), ("a3",), ("missing",)]
         backend = instance.backend
         singles = [backend.covered_head_tuples(c, candidates) for c in clauses]
-        for parallelism in (None, 1, 3):
-            batched = backend.covered_head_tuples_batch(
-                clauses, candidates, parallelism=parallelism
-            )
-            assert batched == singles
+        assert backend.covered_head_tuples_batch(clauses, candidates) == singles
 
-    def test_snapshots_see_mutations(self, simple_schema):
+    def test_batches_see_mutations(self, simple_schema):
         instance = self._instance(simple_schema)
         clause = parse_clause("q(x) :- r1(x, b).")
         candidates = [("a1",), ("a9",)]
         backend = instance.backend
-        before = backend.covered_head_tuples_batch([clause] * 4, candidates, parallelism=2)
+        before = backend.covered_head_tuples_batch([clause] * 4, candidates)
         assert before[0] == {("a1",)}
         instance.add_tuple("r1", ("a9", "b9"))
-        after = backend.covered_head_tuples_batch([clause] * 4, candidates, parallelism=2)
+        after = backend.covered_head_tuples_batch([clause] * 4, candidates)
         assert after[0] == {("a1",), ("a9",)}
         instance.relation("r1").remove(("a9", "b9"))
-        final = backend.covered_head_tuples_batch([clause] * 4, candidates, parallelism=2)
+        final = backend.covered_head_tuples_batch([clause] * 4, candidates)
         assert final[0] == {("a1",)}
 
-    def test_pool_reuses_and_refreshes_snapshots(self, simple_schema):
+    def test_connection_is_not_pinned_to_its_creating_thread(self, simple_schema):
+        """A session may prepare an instance on one thread and learn on
+        another; reads never overlap, so handing the connection over is
+        safe."""
         instance = self._instance(simple_schema)
-        pool = instance.backend.pool
-        with pool.lease():
-            pass
-        taken = pool.snapshots_taken
-        assert taken == 1
-        # No mutation since the snapshot: the idle connection is reused as-is.
-        with pool.lease():
-            pass
-        assert pool.snapshots_taken == taken
-        # A mutation stales the state token: the next lease re-copies.
-        instance.add_tuple("r1", ("a9", "b9"))
-        with pool.lease() as snapshot:
-            rows = {row[0] for row in snapshot.execute('SELECT c0 FROM "rel_r1"')}
-        assert pool.snapshots_taken == taken + 1
-        assert "a9" in rows
+        clause = parse_clause("q(x) :- r1(x, b).")
+        seen = []
+        reader = threading.Thread(
+            target=lambda: seen.append(
+                instance.backend.covered_head_tuples(clause, [("a1",), ("a9",)])
+            )
+        )
+        reader.start()
+        reader.join()
+        assert seen == [{("a1",)}]
 
-    def test_scratch_reads_do_not_invalidate_snapshots(self, simple_schema):
-        """Temp-table writes from coverage queries must not stale the pool."""
+    def test_scratch_reads_do_not_change_the_data_token(self, simple_schema):
+        """Temp-table writes from coverage queries are not data changes, so
+        they must not trigger a fleet reload or a session re-conversion."""
         instance = self._instance(simple_schema)
         backend = instance.backend
-        pool = backend.pool
-        with pool.lease():
-            pass
-        taken = pool.snapshots_taken
-        # A single coverage call creates + drops a temp table on the primary
+        token = backend.data_token()
+        # A single coverage call creates + drops a temp table on the
         # connection; that is scratch work, not a data change.
         clause = parse_clause("q(x) :- r1(x, b).")
         assert backend.covered_head_tuples(clause, [("a1",)]) == {("a1",)}
-        with pool.lease():
-            pass
-        assert pool.snapshots_taken == taken
-
-    def test_pool_exists_only_when_sized(self):
-        plain = create_backend("sqlite")
-        assert plain.pool is None and plain.pool_size is None
-        assert plain.supports_concurrent_reads is False
-        pooled = SQLiteBackend(pool_size=3)
-        assert pooled.name == "sqlite"
-        assert pooled.supports_compiled_queries
-        assert pooled.pool_size == 3 and pooled.pool is not None
-        assert pooled.supports_concurrent_reads
+        assert backend.data_token() == token
+        instance.add_tuple("r1", ("a9", "b9"))
+        assert backend.data_token() != token

@@ -245,7 +245,7 @@ def test_server_errors_carry_the_remote_traceback(server):
     with ServiceClient(server.address) as client:
         with pytest.raises(ServerError, match="unknown instance handle"):
             client.request(
-                "coverage_batch", ("never-registered", None, None, [], [], 1)
+                "coverage_batch", ("never-registered", None, None, [], [])
             )
         with pytest.raises(ServerError, match="unknown request kind"):
             client.request("no_such_request", None)
@@ -263,13 +263,13 @@ def test_batches_with_a_stale_data_version_are_rejected(server):
 
         with pytest.raises(ServerError, match="different data version"):
             client.request(
-                "coverage_batch", ("stale-handle", "hash-2", None, [], [], 1)
+                "coverage_batch", ("stale-handle", "hash-2", None, [], [])
             )
         # The matching hash sails past the version check (and fails later,
         # on the bogus spec — proving the check sits in front).
         with pytest.raises(ServerError, match="spec"):
             client.request(
-                "coverage_batch", ("stale-handle", "hash-1", None, [], [], 1)
+                "coverage_batch", ("stale-handle", "hash-1", None, [], [])
             )
         client.unregister("stale-handle")
 

@@ -151,6 +151,25 @@ def test_wrong_version_and_pickle_era_clients_get_typed_rejects(make_server):
         transport.close()
 
 
+def test_a_wire_v1_client_gets_the_typed_version_error(make_server):
+    """Wire v2 dropped fields from the batch and instance payloads, so a v1
+    peer is refused at the handshake with a typed error instead of failing
+    later on a payload it cannot unpack."""
+    server, _thread = make_server()
+    sock = socket.create_connection(addr_tuple(server), timeout=5)
+    transport = SocketTransport(sock, codec=JsonWireCodec())
+    try:
+        sock.sendall(
+            frame(b'{"v":1,"kind":"handshake","payload":["D",["version",1]]}')
+        )
+        status, (kind, message, _tb) = transport.recv()
+        assert status == "error"
+        assert kind == "ProtocolVersionError"
+        assert "unsupported wire version 1" in message
+    finally:
+        transport.close()
+
+
 def test_malformed_frames_after_handshake_keep_the_connection(make_server):
     """Framing is independent of the body, so one bad frame is answered
     with a typed error and the stream keeps serving."""
@@ -338,7 +357,7 @@ def test_eviction_skips_busy_handles_and_orphans_recover(make_server):
         with pytest.raises(UnknownHandleError, match="unregistered or evicted"):
             server._service_for(served_b)
         with pytest.raises(ServerError) as excinfo:
-            client.request("coverage_batch", ("ev-b", None, None, [], [], 1))
+            client.request("coverage_batch", ("ev-b", None, None, [], []))
         assert excinfo.value.kind == "UnknownHandleError"
         # With every surviving handle busy there is no victim: the registry
         # grows past the soft cap rather than blocking the new arrival.

@@ -25,10 +25,8 @@ from .conftest import make_payload_fn
 SPEC_QUERY = ("query",)
 
 
-def batch_values(service, clauses, examples, parallelism=1):
-    covered = service.covered_examples_batch(
-        SPEC_QUERY, clauses, examples, parallelism=parallelism
-    )
+def batch_values(service, clauses, examples):
+    covered = service.covered_examples_batch(SPEC_QUERY, clauses, examples)
     return [tuple(e.values for e in per_clause) for per_clause in covered]
 
 

@@ -1,8 +1,8 @@
-"""Shard-count and parallelism invariance of ``sqlite`` placed on a fleet.
+"""Shard-count invariance of ``sqlite`` placed on a fleet.
 
 The acceptance property: coverage results are **byte-identical** for every
-``shards`` x ``parallelism`` combination, and identical to the
-single-process backends — sharding only moves work, never answers.
+``shards`` count, and identical to the single-process backends — sharding
+only moves work, never answers.
 """
 
 from __future__ import annotations
@@ -50,28 +50,18 @@ def workload(small_uwcse):
         converted.backend.close()
 
 
-@pytest.mark.parametrize("parallelism", [1, 4])
 @pytest.mark.parametrize("shards", [1, 2, 4])
-def test_query_coverage_is_shard_and_parallelism_invariant(
-    workload, shards, parallelism
-):
+def test_query_coverage_is_shard_invariant(workload, shards):
     reference, sharded, examples, clauses = workload
-    engine = BatchCoverageEngine(
-        QueryCoverageEngine(sharded[shards]), parallelism=parallelism
-    )
+    engine = BatchCoverageEngine(QueryCoverageEngine(sharded[shards]))
     got = engine.covered_examples_batch(clauses, examples)
     assert result_bytes(got) == reference["query"]
 
 
-@pytest.mark.parametrize("parallelism", [1, 4])
 @pytest.mark.parametrize("shards", [1, 2, 4])
-def test_subsumption_coverage_is_shard_and_parallelism_invariant(
-    workload, shards, parallelism
-):
+def test_subsumption_coverage_is_shard_invariant(workload, shards):
     reference, sharded, examples, clauses = workload
-    engine = BatchCoverageEngine(
-        SubsumptionCoverageEngine(sharded[shards]), parallelism=parallelism
-    )
+    engine = BatchCoverageEngine(SubsumptionCoverageEngine(sharded[shards]))
     got = engine.covered_examples_batch(clauses, examples)
     assert result_bytes(got) == reference["subsumption"]
 
@@ -100,9 +90,9 @@ def test_sharded_backend_reports_sqlite_storage():
     backend.close()
 
 
-def test_fleet_workers_rebuild_on_sqlite_with_the_default_pool():
-    """The payload pins the worker storage: ``sqlite`` whose read pool
-    defaults to ``default_pool_size()`` on the worker's own machine."""
+def test_fleet_payload_is_schema_and_rows():
+    """A worker always rebuilds on ``sqlite``: the payload carries only the
+    schema and the rows."""
     from repro.database import RelationSchema, Schema
     from repro.database.instance import DatabaseInstance
 
@@ -111,7 +101,7 @@ def test_fleet_workers_rebuild_on_sqlite_with_the_default_pool():
     instance.add_tuples("r", [(1, 2), (3, 4)])
     try:
         payload = instance.backend._payload()
-        assert (payload.backend, payload.pool_size) == ("sqlite", None)
+        assert payload.__slots__ == ("schema", "rows")
         assert payload.schema is schema
         assert sorted(payload.rows["r"]) == [(1, 2), (3, 4)]
     finally:

@@ -87,15 +87,11 @@ def test_instance_payload_roundtrips_schema_constraints_and_rows():
     payload = InstancePayload(
         schema,
         {"r": [(1, "x"), (2.5, None), (True, "y")], "s": [("z",)]},
-        backend="memory",
-        pool_size=3,
     )
     _, (handle, content_hash, decoded) = roundtrip(("load", ("h", "v1", payload)))
     assert (handle, content_hash) == ("h", "v1")
     assert decoded.rows == payload.rows
     assert decoded.rows["r"][2][0] is True  # bool stays bool, not 1
-    assert decoded.backend == "memory"
-    assert decoded.pool_size == 3
     assert decoded.schema == schema
     assert decoded.schema.functional_dependencies[0].relation == "r"
     assert decoded.schema.inclusion_dependencies[0].with_equality is True
@@ -164,7 +160,8 @@ def test_malformed_domain_values_raise_wire_errors_not_random_ones():
         ["example", "t", ["T"], "yes"],  # non-bool polarity
         ["B", "not-base64!!"],
         ["D", [1, 2, 3]],  # dict entry must be a pair
-        ["instpayload", None, None, None, None],
+        ["instpayload", None, None],
+        ["instpayload", None, [], "sqlite", None],  # a v1 payload's arity
     ]
     for payload in cases:
         body = json.dumps({"v": WIRE_VERSION, "kind": "x", "payload": payload})

@@ -2,7 +2,7 @@
 
 
 from repro.datasets import uwcse
-from repro.experiments.figures import figure3_query_complexity
+from repro.experiments.figures import figure2_parallelization, figure3_query_complexity
 from repro.experiments.harness import LearnerSpec, check_schema_independence, run_variant
 from repro.experiments.reporting import (
     format_dataset_statistics,
@@ -71,6 +71,13 @@ class TestHarness:
 
 
 class TestFigures:
+    def test_figure2_is_a_shard_curve(self):
+        """Figure 2's parallel resource is worker processes: one point per
+        shard count, each a Castor learn on ``sqlite`` placed on that fleet."""
+        points = figure2_parallelization(dataset="uwcse", shard_counts=(1,), seed=1)
+        assert [sorted(point) for point in points] == [["seconds", "shards"]]
+        assert points[0]["shards"] == 1 and points[0]["seconds"] > 0
+
     def test_figure3_points_have_expected_shape(self):
         points = figure3_query_complexity(
             num_variables_range=(4,), definitions_per_setting=2, seed=3

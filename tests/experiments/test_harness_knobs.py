@@ -61,26 +61,6 @@ def test_harness_entry_points_take_no_evaluation_kwargs(entry_point):
     assert "session" in parameters
 
 
-def test_run_variant_applies_the_session_parallelism(tiny_bundle):
-    spec = progolem_spec()
-    seen = []
-    build = spec.factory
-
-    def spying_factory(schema):
-        learner = build(schema)
-        seen.append(learner)
-        return learner
-
-    spec.factory = spying_factory
-    with LearningSession(SessionConfig(parallelism=5)) as session:
-        run_variant(
-            tiny_bundle, tiny_bundle.variant_names[0], spec, folds=2,
-            session=session,
-        )
-    assert len(seen) >= 2
-    assert all(learner.parallelism == 5 for learner in seen)
-
-
 def test_run_variant_without_session_opens_a_default_session(tiny_bundle):
     variant = tiny_bundle.variant_names[0]
     alone = run_variant(tiny_bundle, variant, progolem_spec(), folds=2)
@@ -100,7 +80,7 @@ def test_run_variant_on_sharded_backend(tiny_bundle):
         baseline = run_variant(
             tiny_bundle, variant, progolem_spec(), folds=2, session=session
         )
-    sharded_config = SessionConfig(backend="sqlite", shards=2, parallelism=2)
+    sharded_config = SessionConfig(backend="sqlite", shards=2)
     with LearningSession(sharded_config) as session:
         sharded = run_variant(
             tiny_bundle, variant, progolem_spec(), folds=2, session=session

@@ -96,15 +96,6 @@ class TestCastor:
         definition = learner.learn(tiny_instance, tiny_examples)
         assert definition.is_safe()
 
-    def test_castor_on_mini_decomposed_and_composed(
-        self,
-        tiny_schema,
-    ):
-        # Covered in detail by tests/property/test_schema_independence.py; here
-        # we only assert the learner API accepts the threads parameter.
-        learner = CastorLearner(tiny_schema, CastorParameters(), threads=2)
-        assert learner.threads == 2
-
     def test_castor_promote_inds_mode(self, tiny_schema, tiny_instance, tiny_examples):
         learner = self.make_learner(tiny_schema, promote_inds_from_data=True)
         definition = learner.learn(tiny_instance, tiny_examples)

@@ -1,8 +1,7 @@
 """Batched candidate scoring: order, determinism, and compiled-path parity.
 
 The batch API's contract is that results come back in input order and are
-identical for every ``parallelism`` value and every backend — parallelism
-may only change wall-clock time, never which examples a clause covers.
+identical on every backend to scoring the clauses one at a time.
 """
 
 import pytest
@@ -16,7 +15,7 @@ from repro.learning.coverage import (
     SubsumptionCoverageEngine,
 )
 from repro.learning.examples import Example
-from tests.backends import BACKENDS, make_backend
+from tests.backends import BACKENDS
 
 
 @pytest.fixture(scope="module")
@@ -41,31 +40,25 @@ def _value_sets(per_clause_lists):
 
 
 class TestBatchDeterminism:
-    def test_results_in_input_order_and_parallelism_invariant(self, workload):
-        """Batched scoring is input-ordered and identical for p=1 vs p=4."""
+    def test_results_in_input_order(self, workload):
+        """Batched scoring is input-ordered and matches per-clause scoring."""
         instance, clauses, examples = workload
         all_examples = examples.all_examples()
         for backend in BACKENDS:
-            converted = instance.with_backend(make_backend(backend))
+            converted = instance.with_backend(backend)
             engine = QueryCoverageEngine(converted)
             sequential = [
                 frozenset(e.values for e in engine.covered_examples(c, all_examples))
                 for c in clauses
             ]
-            per_parallelism = {}
-            for parallelism in (1, 4):
-                batch = BatchCoverageEngine(
-                    QueryCoverageEngine(converted), parallelism=parallelism
-                )
-                got = _value_sets(batch.covered_examples_batch(clauses, all_examples))
-                assert got == sequential, (backend, parallelism)
-                per_parallelism[parallelism] = got
-            assert per_parallelism[1] == per_parallelism[4], backend
+            batch = BatchCoverageEngine(QueryCoverageEngine(converted))
+            got = _value_sets(batch.covered_examples_batch(clauses, all_examples))
+            assert got == sequential, backend
 
     def test_evaluate_batch_matches_per_clause_evaluate(self, workload):
         instance, clauses, examples = workload
         engine = QueryCoverageEngine(instance.with_backend("sqlite"))
-        batch = BatchCoverageEngine(engine, parallelism=2)
+        batch = BatchCoverageEngine(engine)
         results = batch.evaluate_batch(clauses, examples.positives, examples.negatives)
         assert len(results) == len(clauses)
         for clause, result in zip(clauses, results):
@@ -73,23 +66,23 @@ class TestBatchDeterminism:
             assert result.positives_covered == single.positives_covered
             assert result.negatives_covered == single.negatives_covered
 
-    def test_subsumption_batch_parallelism_invariant(self, workload):
+    def test_compiled_subsumption_batch_matches_per_clause(self, workload):
         instance, clauses, examples = workload
         all_examples = examples.all_examples()
-        outcomes = {}
-        for parallelism in (1, 4):
-            engine = SubsumptionCoverageEngine(instance, compiled=True)
-            batch = BatchCoverageEngine(engine, parallelism=parallelism)
-            outcomes[parallelism] = _value_sets(
-                batch.covered_examples_batch(clauses, all_examples)
-            )
-        assert outcomes[1] == outcomes[4]
+        engine = SubsumptionCoverageEngine(instance, compiled=True)
+        batched = _value_sets(
+            BatchCoverageEngine(engine).covered_examples_batch(clauses, all_examples)
+        )
+        single = SubsumptionCoverageEngine(instance, compiled=True)
+        assert batched == _value_sets(
+            [single.covered_examples(c, all_examples) for c in clauses]
+        )
 
     def test_coverage_batch_run(self, workload):
         instance, clauses, examples = workload
         batch = CoverageBatch(clauses, examples.positives, examples.negatives)
         assert len(batch) == len(clauses)
-        engine = BatchCoverageEngine(QueryCoverageEngine(instance), parallelism=2)
+        engine = BatchCoverageEngine(QueryCoverageEngine(instance))
         via_run = engine.run(batch)
         via_evaluate = engine.evaluate_batch(
             clauses, examples.positives, examples.negatives
@@ -101,9 +94,7 @@ class TestBatchDeterminism:
     def test_duplicate_clauses_get_duplicate_results(self, workload):
         instance, clauses, examples = workload
         all_examples = examples.all_examples()
-        batch = BatchCoverageEngine(
-            QueryCoverageEngine(instance.with_backend(make_backend("sqlite-pool"))), parallelism=3
-        )
+        batch = BatchCoverageEngine(QueryCoverageEngine(instance.with_backend("sqlite")))
         doubled = [clauses[0], clauses[0], clauses[0]]
         results = _value_sets(batch.covered_examples_batch(doubled, all_examples))
         assert results[0] == results[1] == results[2]
@@ -132,9 +123,6 @@ class TestCompiledSubsumptionParity:
         assert not SubsumptionCoverageEngine(instance).compiled_enabled  # memory
         assert SubsumptionCoverageEngine(
             instance.with_backend("sqlite")
-        ).compiled_enabled
-        assert SubsumptionCoverageEngine(
-            instance.with_backend(make_backend("sqlite-pool"))
         ).compiled_enabled
 
     def test_shared_store_deduplicates_examples(self, workload):

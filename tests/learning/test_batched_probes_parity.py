@@ -1,11 +1,10 @@
 """Batched-vs-sequential parity for reduction and ARMG prefix probes.
 
 Routing negative-reduction and blocking-atom probes through
-:class:`~repro.learning.coverage.BatchCoverageEngine` (and widening the
-section search with ``probe_width``) is a *scheduling* change: the probe
-answers come from the same engine over the same saturations, so the reduced
-and generalized clauses must be literal-for-literal identical for every
-combination of batched/sequential and probe width.
+:class:`~repro.learning.coverage.BatchCoverageEngine` is a *scheduling*
+change: the probe answers come from the same engine over the same
+saturations, so the reduced and generalized clauses must be
+literal-for-literal identical batched or sequential.
 """
 
 import pytest
@@ -17,6 +16,19 @@ from repro.castor.bottom_clause import (
 from repro.castor.reduction import NegativeReducer
 from repro.learning.coverage import BatchCoverageEngine, SubsumptionCoverageEngine
 from repro.progolem.armg import armg, find_blocking_atom
+
+
+class CountingBatch(BatchCoverageEngine):
+    """Records how many clauses each batched probe carries."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.batch_sizes = []
+
+    def covered_masks_batch(self, clauses, examples):
+        clauses = list(clauses)
+        self.batch_sizes.append(len(clauses))
+        return super().covered_masks_batch(clauses, examples)
 
 
 @pytest.fixture(scope="module")
@@ -55,26 +67,22 @@ class TestReducerBatchedParity:
             )
             assert batched == sequential, clause
 
-    def test_probe_width_invariance(self, workload):
-        """Wider sections probe MORE points per round, never different answers."""
+    def test_prefix_search_probes_one_clause_per_batch(self, workload):
+        """The boundary search is bisection: each batched probe carries
+        exactly one prefix clause."""
         _, schema, coverage, clauses, examples = workload
-        negatives = examples.negatives
+        batch = CountingBatch(coverage)
         for clause in clauses:
-            reduced = {
-                width: NegativeReducer(
-                    schema, coverage, batched=True, probe_width=width
-                ).reduce(clause, negatives)
-                for width in (1, 2, 5)
-            }
-            assert reduced[1] == reduced[2] == reduced[5], clause
+            NegativeReducer(schema, coverage, batch=batch).reduce(
+                clause, examples.negatives
+            )
+        assert batch.batch_sizes and set(batch.batch_sizes) == {1}
 
     def test_explicit_batch_engine_is_used(self, workload):
         _, schema, coverage, clauses, examples = workload
-        batch = BatchCoverageEngine(coverage, parallelism=3)
+        batch = BatchCoverageEngine(coverage)
         reducer = NegativeReducer(schema, coverage, batch=batch)
         assert reducer.batch is batch
-        # probe_width defaults to the batch's clause-level fan-out.
-        assert reducer.probe_width == 3
         reduced = reducer.reduce(clauses[0], examples.negatives)
         baseline = NegativeReducer(schema, coverage, batched=False).reduce(
             clauses[0], examples.negatives
@@ -93,17 +101,26 @@ class TestArmgBatchedParity:
                 batched = armg(clause, example, coverage, batch=batch)
                 assert batched == direct, (clause, example)
 
-    def test_find_blocking_atom_width_invariance(self, workload):
+    def test_find_blocking_atom_batched_matches_direct(self, workload):
         _, _, coverage, clauses, examples = workload
         batch = BatchCoverageEngine(coverage)
         for clause in clauses:
             for example in examples.all_examples()[:6]:
                 baseline = find_blocking_atom(clause, example, coverage)
-                for width in (1, 3, 7):
-                    got = find_blocking_atom(
-                        clause, example, coverage, batch=batch, probe_width=width
-                    )
-                    assert got == baseline, (clause, example, width)
+                got = find_blocking_atom(clause, example, coverage, batch=batch)
+                assert got == baseline, (clause, example)
+
+    def test_find_blocking_atom_is_a_binary_search(self, workload):
+        """One full-clause probe, then at most ceil(log2(n)) single-prefix
+        probes for an n-literal body."""
+        _, _, coverage, clauses, examples = workload
+        for clause in clauses:
+            for example in examples.all_examples()[:6]:
+                batch = CountingBatch(coverage)
+                find_blocking_atom(clause, example, coverage, batch=batch)
+                assert set(batch.batch_sizes) == {1}
+                bound = 1 + (len(clause.body) - 1).bit_length()
+                assert len(batch.batch_sizes) <= bound, (clause, example)
 
     def test_blocking_atom_semantics(self, workload):
         """The reported index is the LEAST failing prefix boundary."""
@@ -112,9 +129,7 @@ class TestArmgBatchedParity:
         checked = 0
         for clause in clauses:
             for example in examples.negatives[:4]:
-                index = find_blocking_atom(
-                    clause, example, coverage, batch=batch, probe_width=3
-                )
+                index = find_blocking_atom(clause, example, coverage, batch=batch)
                 if index is None:
                     continue
                 saturation = coverage.saturation(example)

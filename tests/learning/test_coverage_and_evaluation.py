@@ -93,15 +93,6 @@ class TestSubsumptionCoverageEngine:
         assert engine.saturation(example) is engine.saturation(example)
         assert engine.saturation_index(example) is engine.saturation_index(example)
 
-    def test_parallel_and_sequential_agree(self, coauthor_instance):
-        examples = example_set()
-        sequential = SubsumptionCoverageEngine(coauthor_instance, threads=1)
-        parallel = SubsumptionCoverageEngine(coauthor_instance, threads=4)
-        all_examples = examples.all_examples()
-        assert [e.values for e in sequential.covered_examples(ADVISED_CLAUSE, all_examples)] == [
-            e.values for e in parallel.covered_examples(ADVISED_CLAUSE, all_examples)
-        ]
-
     def test_mark_generalization_covers_seeds_cache(self, coauthor_instance):
         engine = SubsumptionCoverageEngine(coauthor_instance)
         example = Example("advisedBy", ("s1", "p1"), True)

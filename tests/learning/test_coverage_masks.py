@@ -3,8 +3,7 @@
 Coverage masks are *positional* — bit ``i`` of a mask is the coverage of
 ``examples[i]`` — so they must round-trip through
 :func:`~repro.learning.coverage.mask_to_examples`, agree with
-``covered_examples`` on every engine, and survive batching/parallelism
-unchanged.
+``covered_examples`` on every engine, and survive batching unchanged.
 """
 
 import pytest
@@ -96,22 +95,16 @@ class TestEngineMaskParity:
                     covered, all_examples
                 )
 
-    def test_batch_masks_parallelism_invariant(self, workload):
+    def test_batch_masks_match_per_clause_coverage(self, workload):
         instance, clauses, examples = workload
         all_examples = examples.all_examples()
-        outcomes = {}
-        for parallelism in (1, 4):
-            batch = BatchCoverageEngine(
-                SubsumptionCoverageEngine(instance), parallelism=parallelism
-            )
-            outcomes[parallelism] = batch.covered_masks_batch(clauses, all_examples)
-        assert outcomes[1] == outcomes[4]
+        batch = BatchCoverageEngine(SubsumptionCoverageEngine(instance))
         sequential = SubsumptionCoverageEngine(instance)
         expected = [
             examples_mask(sequential.covered_examples(c, all_examples), all_examples)
             for c in clauses
         ]
-        assert outcomes[1] == expected
+        assert batch.covered_masks_batch(clauses, all_examples) == expected
 
     def test_evaluate_batch_carries_consistent_masks(self, workload):
         instance, clauses, examples = workload

@@ -45,9 +45,7 @@ def _covering(clause_learner, covered_per_round, max_seconds):
         clause_learner,
         coverage_fn=coverage_fn,
         precision_fn=lambda clause, pos, neg: 1.0,
-        parameters=CoveringParameters(
-            min_positives=1, max_seconds=max_seconds, parallelism=2
-        ),
+        parameters=CoveringParameters(min_positives=1, max_seconds=max_seconds),
     )
 
 

@@ -88,7 +88,7 @@ class TestDelta:
 
         worker = WorkerState()
         worker.handle_init(
-            InstancePayload(tiny_schema(), {"r": [("x", 1)]}, backend="memory")
+            InstancePayload(tiny_schema(), {"r": [("x", 1)]})
         )
         with pytest.raises(TypeError, match="takes a Delta"):
             worker.handle_apply_delta((legacy,))

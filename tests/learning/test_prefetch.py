@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.database import DatabaseInstance, RelationSchema, Schema
-from repro.database.sqlite_backend import SQLiteBackend
+from repro.distributed import ShardedSQLiteBackend
 from repro.learning.coverage import SubsumptionCoverageEngine
 from repro.learning.examples import ExampleSet
 from repro.learning.prefetch import SaturationPrefetcher, backend_supports_prefetch
@@ -67,9 +67,11 @@ class TestCapabilityGating:
         _, instance, _ = advised_problem
         assert backend_supports_prefetch(instance)  # memory
         assert not backend_supports_prefetch(instance.with_backend("sqlite"))
-        assert backend_supports_prefetch(
-            instance.with_backend(SQLiteBackend(pool_size=2))
-        )
+        fleet = ShardedSQLiteBackend(shards=1)
+        try:
+            assert backend_supports_prefetch(instance.with_backend(fleet))
+        finally:
+            fleet.close()
 
     def test_prefetch_never_forced_onto_unsafe_backend(self, advised_problem):
         schema, instance, _ = advised_problem
@@ -148,8 +150,19 @@ class TestSaturationPrefetcher:
 
 
 class TestLearnerParity:
-    def test_prefetch_on_off_learn_identical_definitions(self, advised_problem):
+    @pytest.mark.parametrize("placement", ["memory", "sqlite-sharded"])
+    def test_prefetch_on_off_learn_identical_definitions(
+        self, advised_problem, placement
+    ):
+        """Prefetch is auto-on for both placements: in memory, and on a
+        fleet, where the prefetch thread's saturation batches go to the
+        workers while the learner builds its seed clause."""
         schema, instance, examples = advised_problem
+        fleet = None
+        if placement == "sqlite-sharded":
+            fleet = ShardedSQLiteBackend(shards=1)
+            instance = instance.with_backend(fleet)
+        assert backend_supports_prefetch(instance)
 
         def learn(prefetch):
             learner = ProGolemLearner(
@@ -158,7 +171,11 @@ class TestLearnerParity:
             )
             return learner.learn(instance, examples)
 
-        overlapped = learn(None)  # auto → on (memory backend)
-        sequential = learn(False)
+        try:
+            overlapped = learn(None)  # auto → on
+            sequential = learn(False)
+        finally:
+            if fleet is not None:
+                fleet.close()
         assert list(overlapped) == list(sequential)
         assert list(overlapped), "the tiny problem must be learnable"

@@ -25,7 +25,7 @@ from repro.learning.bottom_clause import (
     compute_theory_constants,
 )
 from repro.learning.coverage import SubsumptionCoverageEngine
-from tests.backends import BACKENDS, make_backend
+from tests.backends import BACKENDS
 
 
 
@@ -50,7 +50,7 @@ def test_neighbors_of_batch_matches_per_value_lookups(uwcse_workload):
     )[:30] + ["no-such-value"]
     reference = None
     for backend in BACKENDS:
-        converted = instance.with_backend(make_backend(backend))
+        converted = instance.with_backend(backend)
         assert converted.backend.supports_saturation_queries
         batch = {
             value: sorted(found)
@@ -75,7 +75,7 @@ def test_builder_parity_across_backends_and_lookup_paths(uwcse_workload, variabl
     config = BottomClauseConfig(max_depth=3)
     reference = None
     for backend in BACKENDS:
-        converted = instance.with_backend(make_backend(backend))
+        converted = instance.with_backend(backend)
         for compiled in (False, True):
             builder = BottomClauseBuilder(
                 converted, config, use_compiled_lookups=compiled
@@ -106,7 +106,7 @@ def test_castor_builder_parity_across_backends_and_lookup_paths(uwcse_bundle):
     config = CastorBottomClauseConfig()
     reference = None
     for backend in BACKENDS:
-        converted = instance.with_backend(make_backend(backend))
+        converted = instance.with_backend(backend)
         for compiled in (False, True):
             builder = CastorBottomClauseBuilder(
                 converted, schema, config, use_compiled_lookups=compiled
@@ -125,7 +125,7 @@ def test_theory_constants_identical_across_backends(uwcse_workload):
     instance, _examples = uwcse_workload
     reference = None
     for backend in BACKENDS:
-        converted = instance.with_backend(make_backend(backend))
+        converted = instance.with_backend(backend)
         constants = compute_theory_constants(converted, threshold=12)
         if reference is None:
             reference = constants
@@ -136,15 +136,13 @@ def test_theory_constants_identical_across_backends(uwcse_workload):
 # --------------------------------------------------------------------- #
 # The batch engine
 # --------------------------------------------------------------------- #
-def test_batch_engine_is_parallelism_invariant(uwcse_workload):
+def test_batch_engine_matches_per_example_construction(uwcse_workload):
     instance, examples = uwcse_workload
     builder = BottomClauseBuilder(instance, BottomClauseConfig(max_depth=3))
     reference = clause_strings(
-        BatchSaturationEngine(builder, parallelism=1).build_ground_batch(examples)
+        BatchSaturationEngine(builder).build_ground_batch(examples)
     )
-    for parallelism in (2, 3):
-        engine = BatchSaturationEngine(builder, parallelism=parallelism)
-        assert clause_strings(engine.build_ground_batch(examples)) == reference
+    assert reference == clause_strings([builder.build_ground(e) for e in examples])
     batch = SaturationBatch(examples, variablize=False)
     assert clause_strings(BatchSaturationEngine(builder).run(batch)) == reference
 

@@ -13,13 +13,10 @@ import pytest
 
 from repro.logic.atoms import Atom
 from repro.logic.clauses import HornClause
-from repro.logic.subsumption import (
-    ReferenceSubsumptionEngine,
-    SubsumptionEngine,
-    budget_exhausted_count,
-)
+from repro.logic.subsumption import SubsumptionEngine, budget_exhausted_count
 from repro.logic.terms import Constant, Variable
 from repro.obs import registry
+from tests.logic.reference_subsumption import ReferenceSubsumptionEngine
 
 
 def pathological_pair():

